@@ -104,70 +104,51 @@ inline WorkloadResult run_workload(const sim::Topology& topology,
 
   WorkloadResult result;
 
-  // Build one channel instance per party, all kinds sharing this shape.
-  std::vector<std::unique_ptr<core::AtomicChannel>> atomic;
-  std::vector<std::unique_ptr<core::SecureAtomicChannel>> secure;
-  std::vector<std::unique_ptr<core::ReliableChannel>> reliable;
-  std::vector<std::unique_ptr<core::ConsistentChannel>> consistent;
-
+  // One channel instance per party, all kinds behind ChannelBase.
+  std::vector<std::unique_ptr<core::ChannelBase>> channels;
   std::size_t delivered_at_measure = 0;
-  auto record = [&](double time_ms, int origin, int iterations) {
-    result.deliveries.push_back(DeliveryRecord{time_ms, origin, iterations});
-    ++delivered_at_measure;
-  };
-
   for (int i = 0; i < n; ++i) {
     auto& env = sim.node(i);
     auto& disp = sim.node(i).dispatcher();
+    core::AtomicChannel* atomic = nullptr;
     switch (opt.kind) {
       case ChannelKind::kAtomic: {
         auto ch = std::make_unique<core::AtomicChannel>(env, disp, "bench",
                                                         opt.atomic_config);
-        if (i == opt.measure_node) {
-          auto* raw = ch.get();
-          ch->set_deliver_callback([&, raw](const Bytes&, core::PartyId o) {
-            record(raw->deliveries().back().time_ms, o,
-                   raw->deliveries().back().mvba_iterations);
-          });
-        }
-        atomic.push_back(std::move(ch));
+        atomic = ch.get();
+        channels.push_back(std::move(ch));
         break;
       }
-      case ChannelKind::kSecure: {
-        auto ch = std::make_unique<core::SecureAtomicChannel>(
-            env, disp, "bench", opt.atomic_config);
-        if (i == opt.measure_node) {
-          auto* raw = ch.get();
-          ch->set_deliver_callback([&, raw](const Bytes&) {
-            record(raw->deliveries().back().time_ms, -1, 1);
-          });
-        }
-        secure.push_back(std::move(ch));
+      case ChannelKind::kSecure:
+        channels.push_back(std::make_unique<core::SecureAtomicChannel>(
+            env, disp, "bench", opt.atomic_config));
         break;
-      }
-      case ChannelKind::kReliable: {
-        auto ch =
-            std::make_unique<core::ReliableChannel>(env, disp, "bench");
-        if (i == opt.measure_node) {
-          ch->set_deliver_callback([&](const Bytes&, core::PartyId o) {
-            record(sim.now_ms(), o, 1);
-          });
-        }
-        reliable.push_back(std::move(ch));
+      case ChannelKind::kReliable:
+        channels.push_back(
+            std::make_unique<core::ReliableChannel>(env, disp, "bench"));
         break;
-      }
-      case ChannelKind::kConsistent: {
-        auto ch =
-            std::make_unique<core::ConsistentChannel>(env, disp, "bench");
-        if (i == opt.measure_node) {
-          ch->set_deliver_callback([&](const Bytes&, core::PartyId o) {
-            record(sim.now_ms(), o, 1);
-          });
-        }
-        consistent.push_back(std::move(ch));
+      case ChannelKind::kConsistent:
+        channels.push_back(
+            std::make_unique<core::ConsistentChannel>(env, disp, "bench"));
         break;
-      }
     }
+    if (i != opt.measure_node) continue;
+    // The atomic channels stamp a delivery with the party's clock, the
+    // broadcast channels with the simulator's (the historical Table 1 /
+    // Figure 6 measurement points).
+    const bool party_clock = opt.kind == ChannelKind::kAtomic ||
+                             opt.kind == ChannelKind::kSecure;
+    channels.back()->set_deliver_callback(
+        [&, node = &env, atomic, party_clock](const Bytes&,
+                                              core::PartyId origin) {
+          const double time_ms = party_clock ? node->now_ms() : sim.now_ms();
+          const int iterations =
+              atomic != nullptr ? atomic->deliveries().back().mvba_iterations
+                                : 1;
+          result.deliveries.push_back(
+              DeliveryRecord{time_ms, origin, iterations});
+          ++delivered_at_measure;
+        });
   }
 
   // Pre-fill sender queues at t = 0 ("maximum capacity"), round-robin so
@@ -178,21 +159,8 @@ inline WorkloadResult run_workload(const sim::Topology& topology,
     const std::string payload =
         "m" + std::to_string(m) + ".s" + std::to_string(sender);
     sim.at(0.0, sender, [&, sender, payload] {
-      switch (opt.kind) {
-        case ChannelKind::kAtomic:
-          atomic[static_cast<std::size_t>(sender)]->send(to_bytes(payload));
-          break;
-        case ChannelKind::kSecure:
-          secure[static_cast<std::size_t>(sender)]->send(to_bytes(payload));
-          break;
-        case ChannelKind::kReliable:
-          reliable[static_cast<std::size_t>(sender)]->send(to_bytes(payload));
-          break;
-        case ChannelKind::kConsistent:
-          consistent[static_cast<std::size_t>(sender)]->send(
-              to_bytes(payload));
-          break;
-      }
+      channels[static_cast<std::size_t>(sender)]->send_payload(
+          to_bytes(payload));
     });
   }
 

@@ -206,7 +206,10 @@ int main(int argc, char** argv) {
       if (o.channel == "secure") {
         auto ch = std::make_unique<core::SecureAtomicChannel>(env, disp,
                                                               "bench", cfg);
-        ch->set_deliver_callback(on_deliver);
+        ch->set_deliver_callback(
+            [on_deliver](const Bytes& payload, core::PartyId) {
+              on_deliver(payload);
+            });
         secure.push_back(std::move(ch));
         atomic.push_back(nullptr);
       } else {

@@ -8,14 +8,16 @@
 // the single group public key — no replica alone can issue a certificate,
 // and t corrupted replicas cannot forge one.
 //
+// The replicas run on the deterministic simulator (virtual time, the
+// paper's LAN topology).
+//
 //   $ ./cert_authority
 //
-#include <chrono>
-#include <condition_variable>
 #include <iostream>
-#include <mutex>
+#include <map>
 
-#include "facade/blocking_api.hpp"
+#include "core/channel/atomic_channel.hpp"
+#include "sim/simulator.hpp"
 
 namespace {
 
@@ -39,43 +41,52 @@ int main() {
   // certificate signature is a *standard* RSA signature (§2.1).
   config.sig_impl = crypto::SigImpl::kThresholdRsa;
   const crypto::Deal deal = crypto::run_dealer(config);
-  facade::LocalGroup group(deal);
+  sim::Simulator sim(sim::lan_setup(), deal);
 
-  std::vector<std::unique_ptr<facade::BlockingAtomicChannel>> channel;
-  for (int i = 0; i < group.n(); ++i) {
-    channel.push_back(std::make_unique<facade::BlockingAtomicChannel>(
-        group, i, "ca"));
+  // Every replica processes the ordered requests identically: assign the
+  // serial number by position, sign a share of the certificate with its
+  // own key material.
+  const int kRequests = 2;
+  std::map<std::uint64_t, std::vector<std::pair<int, Bytes>>> shares;
+  std::map<std::uint64_t, std::string> texts;
+  std::vector<std::vector<std::string>> issued(4);  // per replica, in order
+  std::vector<std::unique_ptr<core::AtomicChannel>> channel;
+  for (int i = 0; i < sim.n(); ++i) {
+    channel.push_back(std::make_unique<core::AtomicChannel>(
+        sim.node(i), sim.node(i).dispatcher(), "ca"));
+    channel.back()->set_deliver_callback(
+        [&, i](const Bytes& req, core::PartyId) {
+          auto& mine = issued[static_cast<std::size_t>(i)];
+          const std::uint64_t serial = mine.size();
+          const std::string cert = certificate_text(serial, to_string(req));
+          mine.push_back(cert);
+          shares[serial].emplace_back(
+              i, sim.node(i).keys().sig_broadcast->sign_share(
+                     to_bytes(cert)));
+          texts[serial] = cert;
+        });
   }
 
   // Clients submit certificate requests at different replicas.
-  channel[1]->send(to_bytes("alice@example.com"));
-  channel[2]->send(to_bytes("bob@example.org"));
-
-  // Every replica processes the ordered requests identically: assign the
-  // serial number by position, sign a share of the certificate.
-  const int kRequests = 2;
-  std::mutex mu;
-  std::map<std::uint64_t, std::vector<std::pair<int, Bytes>>> shares;
-  std::map<std::uint64_t, std::string> texts;
-
-  for (int i = 0; i < group.n(); ++i) {
-    for (std::uint64_t serial = 0; serial < kRequests; ++serial) {
-      auto req = channel[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(30));
-      if (!req) {
-        std::cerr << "timeout\n";
-        return 1;
-      }
-      const std::string cert = certificate_text(serial, to_string(*req));
-      // Each replica contributes its signature share (on its own thread,
-      // where its key material lives).
-      group.post_sync(i, [&, i, serial, cert] {
-        Bytes share = group.node(i).keys().sig_broadcast->sign_share(
-            to_bytes(cert));
-        const std::lock_guard<std::mutex> lock(mu);
-        shares[serial].emplace_back(i, std::move(share));
-        texts[serial] = cert;
-      });
+  sim.at(0.0, 1, [&] { channel[1]->send(to_bytes("alice@example.com")); });
+  sim.at(0.0, 2, [&] { channel[2]->send(to_bytes("bob@example.org")); });
+  if (!sim.run_until(
+          [&] {
+            for (const auto& mine : issued) {
+              if (mine.size() < static_cast<std::size_t>(kRequests)) {
+                return false;
+              }
+            }
+            return true;
+          },
+          1e7)) {
+    std::cerr << "timeout\n";
+    return 1;
+  }
+  for (int i = 1; i < sim.n(); ++i) {
+    if (issued[static_cast<std::size_t>(i)] != issued[0]) {
+      std::cerr << "replicas assigned different serial numbers!\n";
+      return 1;
     }
   }
 

@@ -10,6 +10,7 @@
 //   $ ./optimistic_ordering
 //
 #include <cstdio>
+#include <vector>
 
 #include "core/channel/optimistic_channel.hpp"
 #include "sim/simulator.hpp"
@@ -78,9 +79,15 @@ int main() {
   }
 
   // All live replicas hold identical sequences.
+  auto payloads = [&](int i) {
+    std::vector<Bytes> out;
+    for (const auto& d : chan[static_cast<std::size_t>(i)]->deliveries()) {
+      out.push_back(d.payload);
+    }
+    return out;
+  };
   for (int i = 2; i < 4; ++i) {
-    if (chan[static_cast<std::size_t>(i)]->deliveries().size() !=
-        chan[1]->deliveries().size()) {
+    if (payloads(i) != payloads(1)) {
       std::printf("sequence divergence!\n");
       return 1;
     }

@@ -8,12 +8,15 @@
 // scheme's CCA security stops anyone from mauling a ciphertext into a
 // related bid.  Causality between submission and revelation is preserved.
 //
+// The replicas run on the deterministic simulator (virtual time, the
+// paper's LAN topology).
+//
 //   $ ./sealed_bid_auction
 //
-#include <chrono>
 #include <iostream>
 
-#include "facade/blocking_api.hpp"
+#include "core/channel/secure_atomic_channel.hpp"
+#include "sim/simulator.hpp"
 
 int main() {
   using namespace sintra;
@@ -25,12 +28,18 @@ int main() {
   config.dl_p_bits = 256;
   config.dl_q_bits = 96;
   const crypto::Deal deal = crypto::run_dealer(config);
-  facade::LocalGroup group(deal);
+  sim::Simulator sim(sim::lan_setup(), deal);
 
-  std::vector<std::unique_ptr<facade::BlockingSecureAtomicChannel>> channel;
-  for (int i = 0; i < group.n(); ++i) {
-    channel.push_back(std::make_unique<facade::BlockingSecureAtomicChannel>(
-        group, i, "auction"));
+  // Each replica opens the bids it delivers, in delivery order.
+  std::vector<std::vector<std::string>> opened(4);
+  std::vector<std::unique_ptr<core::SecureAtomicChannel>> channel;
+  for (int i = 0; i < sim.n(); ++i) {
+    channel.push_back(std::make_unique<core::SecureAtomicChannel>(
+        sim.node(i), sim.node(i).dispatcher(), "auction"));
+    channel.back()->set_deliver_callback(
+        [&opened, i](const Bytes& bid, core::PartyId) {
+          opened[static_cast<std::size_t>(i)].push_back(to_string(bid));
+        });
   }
 
   // Bidders are EXTERNAL clients: they hold only the channel's public key
@@ -57,30 +66,29 @@ int main() {
             << "-byte ciphertexts, cleartext hidden until ordered)\n";
 
   // Different replicas relay the sealed bids without seeing their content.
-  channel[0]->with([&](core::SecureAtomicChannel& ch) {
-    ch.send_ciphertext(alice_ct);
-  });
-  channel[1]->with([&](core::SecureAtomicChannel& ch) {
-    ch.send_ciphertext(bob_ct);
-  });
-  channel[2]->with([&](core::SecureAtomicChannel& ch) {
-    ch.send_ciphertext(carol_ct);
-  });
+  sim.at(0.0, 0, [&] { channel[0]->send_ciphertext(alice_ct); });
+  sim.at(0.0, 1, [&] { channel[1]->send_ciphertext(bob_ct); });
+  sim.at(0.0, 2, [&] { channel[2]->send_ciphertext(carol_ct); });
+  if (!sim.run_until(
+          [&] {
+            for (const auto& o : opened) {
+              if (o.size() < 3) return false;
+            }
+            return true;
+          },
+          1e7)) {
+    std::cerr << "timeout\n";
+    return 1;
+  }
 
-  // Every replica opens the bids in the SAME (now fixed) order and
+  // Every replica opened the bids in the SAME (now fixed) order and
   // computes the same winner.
-  for (int i = 0; i < group.n(); ++i) {
+  for (int i = 0; i < sim.n(); ++i) {
+    const auto& bids = opened[static_cast<std::size_t>(i)];
     std::string winner;
     int best = -1;
     std::cout << "replica " << i << " opens:";
-    for (int b = 0; b < 3; ++b) {
-      auto bid = channel[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(60));
-      if (!bid) {
-        std::cerr << "\ntimeout\n";
-        return 1;
-      }
-      const std::string s = to_string(*bid);
+    for (const std::string& s : bids) {
       std::cout << " " << s;
       const auto colon = s.find(':');
       const int amount = std::stoi(s.substr(colon + 1));
@@ -90,8 +98,8 @@ int main() {
       }
     }
     std::cout << " -> winner: " << winner << " (" << best << ")\n";
-    if (winner != "bob") {
-      std::cerr << "replicas disagree on the winner!\n";
+    if (bids != opened[0] || winner != "bob") {
+      std::cerr << "replicas disagree on the bids or the winner!\n";
       return 1;
     }
   }

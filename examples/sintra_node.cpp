@@ -11,6 +11,9 @@
 // `--send` payloads, and writes one "DELIVER <payload>" line per
 // delivered message in delivery order — so total order across nodes can
 // be checked by comparing output files (scripts/run_local_cluster.sh).
+// The replica itself (channel, client gateway, recovery, completion) is
+// replica::Replica (src/replica/); this program adds the UDP transport,
+// the client lane, the output files, linger and signals.
 //
 // Termination: with --close the node closes the channel after its last
 // send and completes when the close protocol terminates; with --expect N
@@ -54,21 +57,15 @@
 
 #include <csignal>
 
-#include "client/gateway.hpp"
-#include "client/keys.hpp"
-#include "client/udp_front.hpp"
-#include "core/channel/atomic_channel.hpp"
-#include "core/channel/optimistic_channel.hpp"
-#include "core/channel/secure_atomic_channel.hpp"
 #include "bignum/montgomery.hpp"
+#include "client/udp_front.hpp"
 #include "core/config.hpp"
 #include "crypto/cost.hpp"
 #include "crypto/keyfile.hpp"
 #include "net/net_environment.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "recovery/recovery_manager.hpp"
-#include "recovery/state_store.hpp"
+#include "replica/replica.hpp"
 #include "util/atomic_file.hpp"
 
 using namespace sintra;
@@ -86,10 +83,7 @@ std::string read_file(const std::string& path) {
 struct Args {
   std::string config_path;
   std::string keyfile_path;
-  std::string channel = "atomic";
-  int send_count = 4;
-  std::uint64_t expect = 0;  // 0 = not used
-  bool close_after_send = false;
+  replica::Replica::Options replica;  // channel, workload, recovery, clients
   double linger_ms = 1500.0;
   std::string out_path;  // empty = stdout
   bool print_stats = false;
@@ -100,20 +94,7 @@ struct Args {
   int crypto_threads = -1;      // -1 = hardware_concurrency; 0 = inline
   bool use_mmsg = true;         // --no-mmsg: one syscall per datagram
   bool corrupt_shares = false;  // Byzantine chaos: emit garbage sig shares
-  std::string state_dir;        // durable log + checkpoints (recovery)
-  std::uint64_t checkpoint_interval = 8;
-  // Throughput mode (DESIGN.md §11): 0 = keep the channel defaults.
-  int batch_count = 0;        // payloads per signed bundle
-  std::size_t batch_bytes = 0;  // byte cap per bundle
-  int pipeline_depth = 0;     // concurrent rounds in flight
-  int bench_payload_bytes = 0;  // --bench-load: pad payloads to this size
-  // Client service layer (DESIGN.md §12): 0 = no client lane.
-  int client_port = 0;          // UDP port for signed client requests
-  std::string client_keys;      // client key table (client/keys.hpp format)
-  std::size_t max_clients = 0;  // distinct clients tracked; 0 = unlimited
-  double client_rate = 100.0;   // per-client admission rate (req/s)
-  double client_global_rate = 0.0;  // global shed threshold; 0 = off
-  std::size_t client_pending = 1024;  // proposed-not-yet-executed window
+  int client_port = 0;          // UDP port for signed client requests; 0 = none
 };
 
 Args parse_args(int argc, char** argv) {
@@ -128,13 +109,13 @@ Args parse_args(int argc, char** argv) {
       return argv[++i];
     };
     if (arg == "--channel") {
-      a.channel = value();
+      a.replica.channel = value();
     } else if (arg == "--send") {
-      a.send_count = std::stoi(value());
+      a.replica.send_count = std::stoi(value());
     } else if (arg == "--expect") {
-      a.expect = std::stoull(value());
+      a.replica.expect = std::stoull(value());
     } else if (arg == "--close") {
-      a.close_after_send = true;
+      a.replica.close_after_send = true;
     } else if (arg == "--linger") {
       a.linger_ms = std::stod(value());
     } else if (arg == "--out") {
@@ -155,20 +136,22 @@ Args parse_args(int argc, char** argv) {
     } else if (arg == "--corrupt-shares") {
       a.corrupt_shares = true;
     } else if (arg == "--state-dir") {
-      a.state_dir = value();
+      a.replica.state_dir = value();
     } else if (arg == "--checkpoint-interval") {
-      a.checkpoint_interval = std::stoull(value());
-      if (a.checkpoint_interval == 0) {
+      a.replica.checkpoint_interval = std::stoull(value());
+      if (a.replica.checkpoint_interval == 0) {
         throw std::runtime_error("--checkpoint-interval wants >= 1");
       }
     } else if (arg == "--batch-count") {
-      a.batch_count = std::stoi(value());
-      if (a.batch_count < 1) throw std::runtime_error("--batch-count wants >= 1");
+      a.replica.batch_count = std::stoi(value());
+      if (a.replica.batch_count < 1) {
+        throw std::runtime_error("--batch-count wants >= 1");
+      }
     } else if (arg == "--batch-bytes") {
-      a.batch_bytes = std::stoull(value());
+      a.replica.batch_bytes = std::stoull(value());
     } else if (arg == "--pipeline-depth") {
-      a.pipeline_depth = std::stoi(value());
-      if (a.pipeline_depth < 1) {
+      a.replica.pipeline_depth = std::stoi(value());
+      if (a.replica.pipeline_depth < 1) {
         throw std::runtime_error("--pipeline-depth wants >= 1");
       }
     } else if (arg == "--bench-load") {
@@ -179,26 +162,28 @@ Args parse_args(int argc, char** argv) {
       if (x == std::string::npos) {
         throw std::runtime_error("--bench-load wants <msgs>x<bytes>");
       }
-      a.send_count = std::stoi(v.substr(0, x));
-      a.bench_payload_bytes = std::stoi(v.substr(x + 1));
-      if (a.send_count < 0 || a.bench_payload_bytes < 0) {
+      a.replica.send_count = std::stoi(v.substr(0, x));
+      a.replica.bench_payload_bytes = std::stoi(v.substr(x + 1));
+      if (a.replica.send_count < 0 || a.replica.bench_payload_bytes < 0) {
         throw std::runtime_error("--bench-load wants non-negative values");
       }
     } else if (arg == "--client-port") {
       a.client_port = std::stoi(value());
       if (a.client_port <= 0) throw std::runtime_error("--client-port wants > 0");
     } else if (arg == "--client-keys") {
-      a.client_keys = value();
+      a.replica.client_keys = value();
     } else if (arg == "--max-clients") {
-      a.max_clients = std::stoull(value());
+      a.replica.max_clients = std::stoull(value());
     } else if (arg == "--client-rate") {
-      a.client_rate = std::stod(value());
-      if (a.client_rate <= 0.0) throw std::runtime_error("--client-rate wants > 0");
+      a.replica.client_rate = std::stod(value());
+      if (a.replica.client_rate <= 0.0) {
+        throw std::runtime_error("--client-rate wants > 0");
+      }
     } else if (arg == "--client-global-rate") {
-      a.client_global_rate = std::stod(value());
+      a.replica.client_global_rate = std::stod(value());
     } else if (arg == "--client-pending") {
-      a.client_pending = std::stoull(value());
-      if (a.client_pending == 0) {
+      a.replica.client_pending = std::stoull(value());
+      if (a.replica.client_pending == 0) {
         throw std::runtime_error("--client-pending wants >= 1");
       }
     } else if (arg == "--via") {
@@ -253,7 +238,8 @@ class CorruptingSigScheme final : public crypto::ThresholdSigScheme {
   std::shared_ptr<crypto::ThresholdSigScheme> inner_;
 };
 
-/// The running node: one environment, one channel, one workload.
+/// The running node: one UDP environment, one Replica, and the process
+/// around them (output files, client lane, linger).
 class NodeApp {
  public:
   NodeApp(const Args& args, net::EventLoop& loop)
@@ -306,23 +292,33 @@ class NodeApp {
       obs::set_trace_sink(trace_.get());
     }
 
-    if (!args.state_dir.empty()) {
-      store_ = std::make_unique<recovery::StateStore>(args.state_dir);
-      // The boot counter is bumped before anything else: boot > 1 means
-      // this directory already hosted a run, so this process is a
-      // restart and must recover instead of joining the rounds.
-      recovering_ = store_->bump_boot() > 1;
-      recovery::RecoveryManager::Options ropts;
-      ropts.checkpoint_interval = args.checkpoint_interval;
-      rec_ = std::make_unique<recovery::RecoveryManager>(
-          *env_, env_->dispatcher(), "cluster." + args.channel, store_.get(),
-          ropts);
+    replica_ = std::make_unique<replica::Replica>(
+        *env_, env_->dispatcher(), args.replica);
+    replica_->set_execute_callback([this](const Bytes& payload) {
+      std::fprintf(out_, "DELIVER %s\n", to_string(payload).c_str());
+    });
+    replica_->set_complete_callback([this] { finish(); });
+
+    if (args.client_port > 0) {
+      if (replica_->gateway() == nullptr) {
+        throw std::runtime_error(
+            "--client-port needs a gateway-backed channel "
+            "(atomic or secure-atomic)");
+      }
+      if (args.replica.client_keys.empty()) {
+        throw std::runtime_error("--client-port needs --client-keys");
+      }
+      front_ = std::make_unique<client::UdpClientFront>(
+          loop_, net::SocketAddress::resolve("0.0.0.0", args.client_port),
+          *replica_->gateway());
+      std::fprintf(stderr, "# node %d: client lane on %s\n", env_->self(),
+                   front_->local_address().to_string().c_str());
     }
 
-    if (recovering_) {
-      start_recovery();
-    } else {
-      start_channel();
+    replica_->start();
+    if (replica_->recovering()) {
+      std::fprintf(stderr, "# node %d: recovery: replayed %zu from log\n",
+                   env_->self(), replica_->replayed());
     }
   }
 
@@ -341,7 +337,7 @@ class NodeApp {
     auto& reg = obs::registry();
     const obs::Labels labels = obs::party_labels(env_->self());
     reg.gauge("node.delivered", labels)
-        .set(static_cast<double>(delivered_));
+        .set(static_cast<double>(replica_->executed()));
     reg.gauge("crypto.work_units", labels)
         .set(static_cast<double>(bignum::work_counter()));
     reg.gauge("crypto.work_per_exp1024", labels)
@@ -361,14 +357,14 @@ class NodeApp {
     if (trace_file_ != nullptr) std::fflush(trace_file_);
   }
 
-  [[nodiscard]] bool completed() const { return completed_; }
+  [[nodiscard]] bool completed() const { return replica_->completed(); }
   [[nodiscard]] int party() const { return env_->self(); }
 
   void flush() { std::fflush(out_); }
 
   void print_stats(const char* reason) {
     std::fprintf(stderr, "# node %d: %s, delivered=%llu\n", env_->self(),
-                 reason, static_cast<unsigned long long>(delivered_));
+                 reason, static_cast<unsigned long long>(replica_->executed()));
     const auto& es = env_->stats();
     std::fprintf(stderr,
                  "STATS env received=%llu drop_no_sender=%llu "
@@ -397,205 +393,14 @@ class NodeApp {
   }
 
  private:
-  /// Throughput-mode channel configuration from the CLI flags (0 keeps
-  /// the seed defaults: one payload per bundle, one round in flight).
-  [[nodiscard]] core::AtomicChannel::Config channel_config() const {
-    core::AtomicChannel::Config cfg;
-    if (args_.batch_count > 0) cfg.max_batch_count = args_.batch_count;
-    if (args_.batch_bytes > 0) cfg.max_batch_bytes = args_.batch_bytes;
-    if (args_.pipeline_depth > 0) cfg.pipeline_depth = args_.pipeline_depth;
-    return cfg;
-  }
-
-  /// Builds the client gateway (DESIGN.md §12).  Created for every
-  /// gateway-backed channel even without --client-port: replica --send
-  /// payloads route through the same submit_local / wrap / delivery-time
-  /// dedup machinery as client requests, so there is exactly one
-  /// at-most-once policy in the node.
-  void setup_gateway() {
-    client::ClientGateway::Options gopts;
-    gopts.replica = static_cast<std::uint32_t>(env_->self());
-    gopts.n = env_->n();
-    gopts.t = env_->t();
-    gopts.rate_per_sec = args_.client_rate;
-    gopts.burst = std::max(2.0, args_.client_rate / 5.0);
-    gopts.global_rate_per_sec = args_.client_global_rate;
-    gopts.global_burst = std::max(2.0, args_.client_global_rate / 4.0);
-    gopts.max_clients = args_.max_clients;
-    gopts.max_pending = args_.client_pending;
-    gateway_ = std::make_unique<client::ClientGateway>(
-        gopts, [this] { return loop_.now_ms(); });
-    if (!args_.client_keys.empty()) {
-      gateway_->set_key_table(client::read_key_file(args_.client_keys));
-    }
-    gateway_->set_submit([this](Bytes wrapped) {
-      if (atomic_ != nullptr && atomic_->can_send()) {
-        atomic_->send(wrapped);
-        return true;
-      }
-      if (secure_ != nullptr && secure_->can_send()) {
-        secure_->send(wrapped);
-        return true;
-      }
-      return false;
-    });
-    if (args_.client_port > 0) {
-      if (args_.client_keys.empty()) {
-        throw std::runtime_error("--client-port needs --client-keys");
-      }
-      front_ = std::make_unique<client::UdpClientFront>(
-          loop_, net::SocketAddress::resolve("0.0.0.0", args_.client_port),
-          *gateway_);
-      std::fprintf(stderr, "# node %d: client lane on %s\n", env_->self(),
-                   front_->local_address().to_string().c_str());
-    }
-  }
-
-  /// Every channel delivery funnels here: durable-log it raw, then let
-  /// the gateway unwrap, dedup, reply, and decide whether it executes.
-  void execute(const Bytes& payload, core::PartyId origin) {
-    record(payload, origin);
-    if (auto ex = gateway_->on_delivered(payload)) deliver(ex->payload);
-    maybe_close();
-  }
-
-  /// --close waits for queued local submissions to reach the proposer;
-  /// closing under a full pipeline window would strand them.
-  void maybe_close() {
-    if (!close_wanted_ || close_issued_ || !gateway_->local_queue_empty()) {
-      return;
-    }
-    close_issued_ = true;
-    if (atomic_ != nullptr) atomic_->close();
-    if (secure_ != nullptr) secure_->close();
-  }
-
-  void start_channel() {
-    auto& disp = env_->dispatcher();
-    const std::string pid = "cluster." + args_.channel;
-    // A node is a long-running process: cap the in-memory delivery log
-    // (the durable record, when wanted, lives in the recovery log).
-    constexpr std::size_t kDeliveryLogCap = 4096;
-    if (args_.channel == "atomic") {
-      atomic_ = std::make_unique<core::AtomicChannel>(*env_, disp, pid,
-                                                      channel_config());
-      atomic_->set_delivery_log_limit(kDeliveryLogCap);
-      atomic_->set_deliver_callback(
-          [this](const Bytes& payload, core::PartyId origin) {
-            execute(payload, origin);
-            // The node consumes deliveries via this callback; drain the
-            // pull-style inbox so it cannot grow without bound.
-            while (atomic_->receive()) {
-            }
-          });
-      atomic_->set_closed_callback([this] { on_closed(); });
-    } else if (args_.channel == "secure-atomic") {
-      secure_ = std::make_unique<core::SecureAtomicChannel>(
-          *env_, disp, pid, channel_config());
-      secure_->set_delivery_log_limit(kDeliveryLogCap);
-      secure_->set_deliver_callback([this](const Bytes& payload) {
-        execute(payload, -1);
-        while (secure_->receive()) {
-        }
-      });
-      secure_->set_closed_callback([this] { on_closed(); });
-    } else if (args_.channel == "optimistic") {
-      if (args_.expect == 0) {
-        throw std::runtime_error(
-            "--channel optimistic needs --expect (it has no close protocol)");
-      }
-      if (args_.client_port > 0) {
-        throw std::runtime_error(
-            "--client-port needs a gateway-backed channel "
-            "(atomic or secure-atomic)");
-      }
-      optimistic_ =
-          std::make_unique<core::OptimisticChannel>(*env_, disp, pid);
-      optimistic_->set_deliver_callback(
-          [this](const Bytes& payload, core::PartyId origin) {
-            record(payload, origin);
-            deliver(payload);
-          });
-      for (int k = 0; k < args_.send_count; ++k) {
-        optimistic_->send(payload_of(k));
-      }
-      return;
-    } else {
-      throw std::runtime_error("unknown channel type " + args_.channel);
-    }
-    setup_gateway();
-    for (int k = 0; k < args_.send_count; ++k) {
-      gateway_->submit_local(payload_of(k));
-    }
-    close_wanted_ = args_.close_after_send;
-    maybe_close();
-  }
-
-  /// Restart path: no channel — replay the durable log, then fetch the
-  /// remainder (plus the authenticating certificates) from the peers.
-  /// Completion is reaching the close-time `final` certificate, not
-  /// --expect: a restarted node cannot know the final count in advance.
-  void start_recovery() {
-    // The gateway runs in recovery too — replayed records are wrapped,
-    // and the dedup/unwrap decisions must match what this node printed
-    // before it crashed and what its live peers print now.  No client
-    // lane and no submit hook: a recovering node cannot propose.
-    setup_gateway();
-    rec_->set_apply_callback(
-        [this](const recovery::RecoveryManager::Record& r) {
-          if (auto ex = gateway_->on_delivered(r.payload)) {
-            deliver(ex->payload);
-          }
-        });
-    rec_->set_caught_up_callback([this] {
+  void finish() {
+    if (replica_->recovering()) {
       std::fprintf(stderr,
                    "# node %d: caught up at seq %llu (final certificate)\n",
                    env_->self(),
-                   static_cast<unsigned long long>(rec_->delivered_seq()));
-      finish();
-    });
-    const std::size_t replayed = rec_->replay_local();
-    std::fprintf(stderr, "# node %d: recovery: replayed %zu from log\n",
-                 env_->self(), replayed);
-    rec_->start_catchup();
-  }
-
-  [[nodiscard]] Bytes payload_of(int k) const {
-    std::string s =
-        "p" + std::to_string(env_->self()) + ":" + std::to_string(k);
-    // --bench-load pads every payload to a fixed size; the unique header
-    // stays, so total-order comparison across nodes still works.
-    if (static_cast<int>(s.size()) < args_.bench_payload_bytes) {
-      s.resize(static_cast<std::size_t>(args_.bench_payload_bytes), '.');
+                   static_cast<unsigned long long>(
+                       replica_->recovery()->delivered_seq()));
     }
-    return to_bytes(s);
-  }
-
-  /// Normal path only: feeds a live channel delivery to the recovery
-  /// layer (durable log + digest chain) before it is printed.
-  void record(const Bytes& payload, core::PartyId origin) {
-    if (rec_) rec_->on_delivered(payload, origin);
-  }
-
-  void deliver(const Bytes& payload) {
-    ++delivered_;
-    std::fprintf(out_, "DELIVER %s\n", to_string(payload).c_str());
-    if (!recovering_ && args_.expect != 0 && delivered_ >= args_.expect) {
-      finish();
-    }
-  }
-
-  void on_closed() {
-    // The close-time checkpoint covers the whole sequence; its `final`
-    // certificate is what tells restarted/lagging replicas they have
-    // everything.
-    if (rec_) rec_->force_checkpoint(/*final=*/true);
-    finish();
-  }
-
-  void finish() {
-    if (completed_) return;
-    completed_ = true;
     flush();
     if (!args_.out_path.empty()) {
       // Completion marker for external orchestration (the cluster runner
@@ -627,21 +432,11 @@ class NodeApp {
   Args args_;
   net::EventLoop& loop_;
   std::unique_ptr<net::NetEnvironment> env_;
-  std::unique_ptr<recovery::StateStore> store_;
-  std::unique_ptr<recovery::RecoveryManager> rec_;
-  bool recovering_ = false;
-  std::unique_ptr<core::AtomicChannel> atomic_;
-  std::unique_ptr<core::SecureAtomicChannel> secure_;
-  std::unique_ptr<core::OptimisticChannel> optimistic_;
-  std::unique_ptr<client::ClientGateway> gateway_;
+  std::unique_ptr<replica::Replica> replica_;
   std::unique_ptr<client::UdpClientFront> front_;
-  bool close_wanted_ = false;
-  bool close_issued_ = false;
   std::FILE* out_ = nullptr;
   std::FILE* trace_file_ = nullptr;
   std::unique_ptr<obs::EventTrace> trace_;
-  std::uint64_t delivered_ = 0;
-  bool completed_ = false;
   double finish_ms_ = 0.0;
 };
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Runs the crypto-substrate microbenchmarks and distills them into
-# BENCH_crypto.json at the repo root: ns/op and Montgomery work units per
+# BENCH_crypto.json in the build directory (copy it to the repo root by
+# hand to refresh the recorded runs): ns/op and Montgomery work units per
 # operation for every benchmark, plus the before/after speedup ratios for
 # the fast-exponentiation layer (seed op sequences vs shipped fast paths)
 # and the wall-clock before/after for the 64-bit limb rework (the frozen
@@ -27,7 +28,7 @@ trap 'rm -f "$raw"' EXIT
   --benchmark_out="$raw" \
   --benchmark_out_format=json
 
-python3 - "$raw" "$repo_root/BENCH_crypto.json" \
+python3 - "$raw" "$build_dir/BENCH_crypto.json" \
   "$repo_root/scripts/bench_baselines.json" <<'PY'
 import json
 import os

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # End-to-end deliveries/sec benchmark for the throughput-mode channels
-# (DESIGN.md §11), distilled into BENCH_e2e.json at the repo root.
+# (DESIGN.md §11), distilled into BENCH_e2e.json in the build directory
+# (copy it to the repo root by hand to refresh the recorded runs).
 #
 # Scenarios (virtual time on the discrete-event simulator, so runs are
 # deterministic per seed and comparable across machines):
@@ -98,7 +99,7 @@ if [[ "$mode" == "full" ]]; then
   echo "{\"label\":\"cluster-chaos-batched\",\"wall_s\":$(awk "BEGIN{printf \"%.3f\", $t1-$t0}"),\"deliveries\":1600}" >>"$raw"
 fi
 
-python3 - "$raw" "$repo_root/BENCH_e2e.json" <<'PY'
+python3 - "$raw" "$build_dir/BENCH_e2e.json" <<'PY'
 import json
 import sys
 

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# Group-size scaling benchmark, distilled into BENCH_scale.json at the
-# repo root (DESIGN.md §14; README "Scaling the group").
+# Group-size scaling benchmark, distilled into BENCH_scale.json in the
+# build directory (DESIGN.md §14; README "Scaling the group"); copy it to
+# the repo root by hand to refresh the recorded runs.
 #
 # Three measurement families:
 #   scale-nN        bench/scale_sweep --sweep on the discrete-event
@@ -75,7 +76,7 @@ t1="$(date +%s.%N)"
 sendto_wall="$(awk "BEGIN{printf \"%.3f\", $t1-$t0}")"
 
 python3 - "$raw" "$mdir_mmsg" "$mdir_sendto" "$mmsg_wall" "$sendto_wall" \
-  "$repo_root/BENCH_scale.json" <<'PY'
+  "$build_dir/BENCH_scale.json" <<'PY'
 import glob
 import json
 import os

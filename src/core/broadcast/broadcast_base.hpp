@@ -23,8 +23,8 @@ class BroadcastBase {
   /// Starts the broadcast; sender only, exactly once.
   virtual void send_broadcast(BytesView payload) = 0;
 
-  /// The delivered payload, once accepted (the blocking receive() of the
-  /// Java API is provided by the facade layer).
+  /// The delivered payload, once accepted (the Java API's blocking
+  /// receive() becomes a deliver callback in this event-driven API).
   [[nodiscard]] virtual const std::optional<Bytes>& broadcast_delivered()
       const = 0;
 

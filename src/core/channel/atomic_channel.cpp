@@ -497,8 +497,11 @@ void AtomicChannel::deliver(Entry entry, int round, int iterations) {
                       deliveries_.end() -
                           static_cast<std::ptrdiff_t>(delivery_log_limit_));
   }
-  inbox_.push_back(std::move(user));
-  if (deliver_cb_) deliver_cb_(inbox_.back(), entry.origin);
+  if (deliver_cb_) {
+    deliver_cb_(user, entry.origin);
+  } else {
+    inbox_.push_back(std::move(user));
+  }
 }
 
 void AtomicChannel::abort() {

@@ -99,7 +99,8 @@ class AtomicChannel : public Protocol, public ChannelBase {
   void send(BytesView payload);
   [[nodiscard]] bool can_send() const { return !closed_; }
 
-  /// Pops the next delivered payload (nullopt if none pending).
+  /// Pops the next delivered payload (nullopt if none pending; always
+  /// nullopt once a deliver callback is set — see ChannelBase).
   std::optional<Bytes> receive();
   [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
 
@@ -122,10 +123,10 @@ class AtomicChannel : public Protocol, public ChannelBase {
   }
 
   void set_deliver_callback(
-      std::function<void(const Bytes&, PartyId origin)> cb) {
+      std::function<void(const Bytes&, PartyId origin)> cb) override {
     deliver_cb_ = std::move(cb);
   }
-  void set_closed_callback(std::function<void()> cb) {
+  void set_closed_callback(std::function<void()> cb) override {
     closed_cb_ = std::move(cb);
   }
 
@@ -222,7 +223,7 @@ class AtomicChannel : public Protocol, public ChannelBase {
   std::map<int, RoundState> rounds_;  // the pipeline window
   std::vector<std::unique_ptr<ArrayAgreement>> finished_mvbas_;
 
-  std::deque<Bytes> inbox_;
+  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
   std::size_t delivery_log_limit_ = 0;  // 0 = unlimited
   std::function<void(const Bytes&, PartyId)> deliver_cb_;

@@ -84,10 +84,11 @@ class BroadcastChannel : public ChannelBase {
     return deliveries_;
   }
 
-  void set_deliver_callback(std::function<void(const Bytes&, PartyId)> cb) {
+  void set_deliver_callback(
+      std::function<void(const Bytes&, PartyId)> cb) override {
     deliver_cb_ = std::move(cb);
   }
-  void set_closed_callback(std::function<void()> cb) {
+  void set_closed_callback(std::function<void()> cb) override {
     closed_cb_ = std::move(cb);
   }
 
@@ -148,8 +149,11 @@ class BroadcastChannel : public ChannelBase {
       }
       if (marker != 0) return;
       deliveries_.push_back(Delivery{payload, j, seq, env_.now_ms()});
-      inbox_.push_back(payload);
-      if (deliver_cb_) deliver_cb_(inbox_.back(), j);
+      if (deliver_cb_) {
+        deliver_cb_(payload, j);
+      } else {
+        inbox_.push_back(payload);
+      }
     } catch (const SerdeError&) {
       // A Byzantine sender broadcast an unparsable channel frame: ignore.
     }
@@ -176,7 +180,7 @@ class BroadcastChannel : public ChannelBase {
   bool closed_ = false;
   std::set<PartyId> close_senders_;
 
-  std::deque<Bytes> inbox_;
+  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
   std::function<void(const Bytes&, PartyId)> deliver_cb_;
   std::function<void()> closed_cb_;

@@ -285,8 +285,11 @@ void OptimisticChannel::output_record(const Bytes& order) {
             pid(), rec.payload.size(), epoch_);
   deliveries_.push_back(
       Delivery{rec.payload, rec.origin, epoch_, env_.now_ms()});
-  inbox_.push_back(rec.payload);
-  if (deliver_cb_) deliver_cb_(inbox_.back(), rec.origin);
+  if (deliver_cb_) {
+    deliver_cb_(rec.payload, rec.origin);
+  } else {
+    inbox_.push_back(rec.payload);
+  }
 }
 
 void OptimisticChannel::handle_complain(PartyId from, Reader& r) {

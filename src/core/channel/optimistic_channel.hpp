@@ -57,6 +57,8 @@ class OptimisticChannel : public Protocol {
   /// application-level timeout; never called from protocol logic).
   void suspect();
 
+  /// Pull-mode delivery; like every channel, push-only once a deliver
+  /// callback is set (see ChannelBase).
   std::optional<Bytes> receive();
   [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
 
@@ -144,7 +146,7 @@ class OptimisticChannel : public Protocol {
   std::vector<std::unique_ptr<ArrayAgreement>> old_switches_;
   std::vector<std::unique_ptr<VerifiableConsistentBroadcast>> old_slots_;
 
-  std::deque<Bytes> inbox_;
+  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
   std::function<void(const Bytes&, PartyId)> deliver_cb_;
 

@@ -172,8 +172,14 @@ void SecureAtomicChannel::flush_ready() {
                         deliveries_.end() -
                             static_cast<std::ptrdiff_t>(delivery_log_limit_));
     }
-    inbox_.push_back(*slot.plaintext);
-    if (deliver_cb_) deliver_cb_(inbox_.back());
+    if (deliver_cb_) {
+      // A copy: the callback may send, and a reentrant delivery would
+      // grow slots_ under a reference into it.
+      const Bytes plaintext = *slot.plaintext;
+      deliver_cb_(plaintext, -1);
+    } else {
+      inbox_.push_back(*slot.plaintext);
+    }
     ++next_delivery_;
   }
 }

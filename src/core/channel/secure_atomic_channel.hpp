@@ -46,7 +46,8 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
 
   [[nodiscard]] bool can_send() const { return atomic_->can_send(); }
 
-  /// Next decrypted payload, in ciphertext order.
+  /// Next decrypted payload, in ciphertext order (pull mode only: always
+  /// nullopt once a deliver callback is set — see ChannelBase).
   std::optional<Bytes> receive();
   [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
 
@@ -77,13 +78,21 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
     atomic_->set_delivery_log_limit(limit);
   }
 
-  void set_deliver_callback(std::function<void(const Bytes&)> cb) {
+  /// Cleartexts carry no origin (the sender is hidden inside the
+  /// ciphertext), so the callback always sees origin -1.
+  void set_deliver_callback(
+      std::function<void(const Bytes&, PartyId origin)> cb) override {
     deliver_cb_ = std::move(cb);
   }
   /// Fires when the underlying atomic channel terminates.
-  void set_closed_callback(std::function<void()> cb) {
+  void set_closed_callback(std::function<void()> cb) override {
     atomic_->set_closed_callback(std::move(cb));
   }
+
+  /// The atomic channel that orders this channel's ciphertexts.  It runs
+  /// push-only (this channel is its deliver callback), so it never
+  /// buffers a ciphertext for receive().
+  [[nodiscard]] const AtomicChannel& ordering() const { return *atomic_; }
 
   void abort() override;
 
@@ -123,10 +132,10 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   // Shares that arrived before their ciphertext's slot existed.
   std::map<std::size_t, std::map<PartyId, Bytes>> early_shares_;
 
-  std::deque<Bytes> inbox_;
+  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
   std::size_t delivery_log_limit_ = 0;  // 0 = unlimited
-  std::function<void(const Bytes&)> deliver_cb_;
+  std::function<void(const Bytes&, PartyId)> deliver_cb_;
 
   // Instrumentation handles (obs/metrics.hpp); measurement only.
   obs::Counter* m_deliveries_ = nullptr;

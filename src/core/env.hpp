@@ -1,8 +1,7 @@
 // The execution environment a SINTRA party runs in.
 //
 // Protocol code is written against this interface only; the discrete-event
-// simulator (sim/) and the threaded in-process transport (facade/) both
-// implement it.  The model matches the paper's: reliable authenticated
+// simulator (sim/) and the UDP deployment (net/) both implement it.  The model matches the paper's: reliable authenticated
 // asynchronous point-to-point links, no common clock, no timing
 // assumptions anywhere in protocol logic (now_ms exists for measurement
 // only and must never influence control flow).
@@ -33,7 +32,7 @@ class Environment {
   /// same asynchronous path — no reentrancy).
   virtual void send_all(Bytes wire) = 0;
 
-  /// Virtual (simulator) or wall-clock (facade) time, for measurement only.
+  /// Virtual (simulator) or wall-clock (net) time, for measurement only.
   [[nodiscard]] virtual double now_ms() const = 0;
 
   /// Per-party deterministic randomness.

@@ -3,7 +3,7 @@
 // discrete-event simulator's scheduler.
 //
 // All protocol objects attached to a loop are touched only from the loop
-// thread (the same ownership discipline as facade::LocalNode); post() is
+// thread (the simulator's single-thread discipline); post() is
 // the one thread-safe entry point.  Timers drive nothing but the link
 // layer's retransmissions — per the paper's model, no protocol decision
 // above the links depends on time.

@@ -115,6 +115,39 @@ TEST(AtomicChannel, ReceiveDrainsInOrder) {
   EXPECT_EQ(chans[2]->receive(), std::nullopt);
 }
 
+TEST(AtomicChannel, CallbackConsumerIsPushOnly) {
+  // A channel with a deliver callback hands each delivery to the
+  // callback only: nothing piles up in the receive() inbox, however long
+  // the channel runs.  Party 3 keeps the pull surface for comparison.
+  Cluster c(4, 1, 5);
+  auto chans = make_channels(c, "ac.push");
+  std::vector<std::vector<std::string>> pushed(3);
+  for (int i = 0; i < 3; ++i) {
+    chans[static_cast<std::size_t>(i)]->set_deliver_callback(
+        [&pushed, i](const Bytes& payload, PartyId) {
+          pushed[static_cast<std::size_t>(i)].push_back(to_string(payload));
+        });
+  }
+  constexpr int kMessages = 8;
+  for (int m = 0; m < kMessages; ++m) {
+    c.sim.at(m * 1.0, m % 4, [&, m] {
+      chans[static_cast<std::size_t>(m % 4)]->send(
+          to_bytes("push" + std::to_string(m)));
+    });
+  }
+  ASSERT_TRUE(c.sim.run_until(
+      [&] { return all_delivered_count(chans, kMessages); }, 4e6));
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(pushed[static_cast<std::size_t>(i)],
+              delivered_strings(*chans[static_cast<std::size_t>(i)]));
+    EXPECT_FALSE(chans[static_cast<std::size_t>(i)]->can_receive());
+    EXPECT_EQ(chans[static_cast<std::size_t>(i)]->receive(), std::nullopt);
+  }
+  std::size_t pulled = 0;
+  while (chans[3]->receive()) ++pulled;
+  EXPECT_EQ(pulled, static_cast<std::size_t>(kMessages));
+}
+
 TEST(AtomicChannel, FairnessAdoptedMessageDelivered) {
   // Only party 2 ever sends; all others adopt its message each round so
   // every payload is delivered even though senders != proposers.

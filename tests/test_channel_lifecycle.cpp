@@ -1,13 +1,9 @@
 // Channel lifecycle edges: idle-wake behaviour, long gaps between sends,
-// sliding-window receive-buffer overflow recovery, and concurrent sends
-// through the blocking facade.
+// and sliding-window receive-buffer overflow recovery.
 #include <gtest/gtest.h>
-
-#include <thread>
 
 #include "core/channel/atomic_channel.hpp"
 #include "core/link/sliding_window.hpp"
-#include "facade/blocking_api.hpp"
 #include "sim_fixture.hpp"
 
 namespace sintra {
@@ -99,40 +95,6 @@ TEST(ChannelLifecycle, SlidingWindowReceiverBufferOverflowRecovers) {
   ASSERT_EQ(got.size(), 30u);
   for (int i = 0; i < 30; ++i) {
     EXPECT_EQ(got[static_cast<std::size_t>(i)], "m" + std::to_string(i));
-  }
-}
-
-TEST(ChannelLifecycle, ConcurrentSendsThroughFacade) {
-  const auto deal = testing::cached_deal(4, 1);
-  facade::LocalGroup group(deal);
-  std::vector<std::unique_ptr<facade::BlockingAtomicChannel>> chans;
-  for (int i = 0; i < 4; ++i) {
-    chans.push_back(std::make_unique<facade::BlockingAtomicChannel>(
-        group, i, "conc.ac"));
-  }
-  // 3 application threads hammer different replicas concurrently.
-  std::vector<std::thread> threads;
-  for (int s = 0; s < 3; ++s) {
-    threads.emplace_back([&, s] {
-      for (int m = 0; m < 4; ++m) {
-        chans[static_cast<std::size_t>(s)]->send(
-            to_bytes("c" + std::to_string(s) + "." + std::to_string(m)));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  std::vector<std::vector<std::string>> streams(4);
-  for (int i = 0; i < 4; ++i) {
-    for (int m = 0; m < 12; ++m) {
-      auto payload = chans[static_cast<std::size_t>(i)]->receive_for(
-          std::chrono::seconds(60));
-      ASSERT_TRUE(payload.has_value()) << i << "," << m;
-      streams[static_cast<std::size_t>(i)].push_back(to_string(*payload));
-    }
-  }
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_EQ(streams[static_cast<std::size_t>(i)], streams[0]);
   }
 }
 

@@ -14,13 +14,12 @@
 #include "client/service_client.hpp"
 #include "client/sim_net.hpp"
 #include "client/wire.hpp"
-#include "core/channel/atomic_channel.hpp"
+#include "replica/replica.hpp"
 #include "sim_fixture.hpp"
 
 namespace sintra::client {
 namespace {
 
-using core::AtomicChannel;
 using testing::Cluster;
 
 // ---------------------------------------------------------------------------
@@ -338,8 +337,9 @@ TEST(ClientGateway, LocalQueueDrainsAsWindowFrees) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end in the simulator: gateways on a real atomic channel, real
-// quorum-collecting clients, one Byzantine replica mangling replies.
+// End-to-end in the simulator: four replica::Replica objects (the class
+// sintra_node runs) on an atomic channel, real quorum-collecting clients,
+// one Byzantine replica mangling replies.
 
 struct SimScenario {
   static constexpr int kClients = 6;
@@ -348,8 +348,7 @@ struct SimScenario {
   Cluster cluster;
   KeyTable table = make_key_table(kClients, 11);
   SimClientNet net;
-  std::vector<std::unique_ptr<AtomicChannel>> channels;
-  std::vector<std::unique_ptr<ClientGateway>> gateways;
+  std::vector<std::unique_ptr<replica::Replica>> replicas;
   std::vector<std::unique_ptr<ReplicatedServiceClient>> clients;
   std::vector<std::vector<std::string>> executed;  // per replica
   std::vector<std::vector<std::string>> outcomes;  // per client
@@ -367,30 +366,20 @@ struct SimScenario {
           return o;
         }()) {
     executed.resize(4);
-    channels = cluster.make_protocols<AtomicChannel>(
-        [&](core::Environment& env, core::Dispatcher& disp, int) {
-          AtomicChannel::Config cfg;
-          cfg.max_batch_count = 4;
-          cfg.pipeline_depth = 2;
-          return std::make_unique<AtomicChannel>(env, disp, "cluster.client",
-                                                 cfg);
-        });
+    replica::Replica::Options ropts;
+    ropts.send_count = 0;
+    ropts.batch_count = 4;
+    ropts.pipeline_depth = 2;
+    ropts.client_rate = 1000.0;
     for (int i = 0; i < 4; ++i) {
-      ClientGateway::Options gopts;
-      gopts.replica = static_cast<std::uint32_t>(i);
-      gopts.n = 4;
-      gopts.t = 1;
-      gopts.rate_per_sec = 1000.0;
-      gopts.burst = 1000.0;
-      gateways.push_back(std::make_unique<ClientGateway>(
-          gopts, [this] { return cluster.sim.now_ms(); }));
-      auto& gw = *gateways.back();
-      gw.set_key_table(table);
-      gw.set_submit([this, i](Bytes wrapped) {
-        if (!channels[static_cast<std::size_t>(i)]->can_send()) return false;
-        channels[static_cast<std::size_t>(i)]->send(wrapped);
-        return true;
+      auto& node = cluster.sim.node(i);
+      replicas.push_back(
+          std::make_unique<replica::Replica>(node, node.dispatcher(), ropts));
+      replicas.back()->set_execute_callback([this, i](const Bytes& payload) {
+        executed[static_cast<std::size_t>(i)].push_back(to_string(payload));
       });
+      ClientGateway& gw = *replicas.back()->gateway();
+      gw.set_key_table(table);
       gw.set_reply(net.attach_gateway(i, gw));
       if (i == byzantine) {
         // This replica's replies are corrupted in flight: clients must
@@ -400,18 +389,6 @@ struct SimScenario {
           return d;
         });
       }
-      channels[static_cast<std::size_t>(i)]->set_deliver_callback(
-          [this, i](const Bytes& payload, core::PartyId) {
-            if (auto ex =
-                    gateways[static_cast<std::size_t>(i)]->on_delivered(
-                        payload)) {
-              executed[static_cast<std::size_t>(i)].push_back(
-                  std::to_string(ex->client_id) + ":" +
-                  to_string(ex->payload));
-            }
-            while (channels[static_cast<std::size_t>(i)]->receive()) {
-            }
-          });
     }
     outcomes.resize(kClients);
     for (int c = 0; c < kClients; ++c) {
@@ -431,7 +408,7 @@ struct SimScenario {
     }
   }
 
-  void start() {
+  void submit_all() {
     for (int c = 0; c < kClients; ++c) {
       for (int k = 0; k < kRequests; ++k) {
         submit(c, k);
@@ -452,10 +429,52 @@ struct SimScenario {
   }
 
   bool run() {
-    cluster.sim.post(0.0, [this] { start(); });
+    for (int i = 0; i < 4; ++i) {
+      cluster.sim.at(0.0, i, [this, i] {
+        replicas[static_cast<std::size_t>(i)]->start();
+      });
+    }
+    cluster.sim.post(0.0, [this] { submit_all(); });
     return cluster.sim.run_until(
         [this] { return done >= kClients * kRequests; }, 4e6);
   }
+};
+
+using Sequence = std::vector<std::string>;
+
+/// The executed sequence (identical on every replica) and the client
+/// outcomes that the hand-wired gateway + atomic channel harness this
+/// scenario replaced produced for seeds 1 and 2, run with the channel
+/// protocol id Replica uses ("cluster.atomic"; the id enters the coin
+/// names, so it shapes the order) and the same batching and per-client
+/// rate.  That harness logged "<client id>:<payload>"; the payloads name
+/// their client, so only the payloads are kept.  Replica must reproduce
+/// them exactly.
+struct Recorded {
+  std::uint64_t seed;
+  Sequence executed;
+  std::vector<Sequence> outcomes;
+};
+
+const Recorded kRecorded[] = {
+    {1,
+     {"c3:req0", "c4:req0", "c2:req0", "c1:req0", "c0:req0", "c5:req0",
+      "c4:req1", "c3:req1", "c2:req1", "c5:req1", "c1:req1", "c0:req1"},
+     {{"ok@4:ok:4", "ok@11:ok:11"},
+      {"ok@3:ok:3", "ok@10:ok:10"},
+      {"ok@2:ok:2", "ok@8:ok:8"},
+      {"ok@0:ok:0", "ok@7:ok:7"},
+      {"ok@1:ok:1", "ok@6:ok:6"},
+      {"ok@5:ok:5", "ok@9:ok:9"}}},
+    {2,
+     {"c0:req0", "c2:req0", "c1:req0", "c5:req0", "c3:req0", "c4:req0",
+      "c0:req1", "c2:req1", "c1:req1", "c3:req1", "c4:req1", "c5:req1"},
+     {{"ok@0:ok:0", "ok@6:ok:6"},
+      {"ok@2:ok:2", "ok@8:ok:8"},
+      {"ok@1:ok:1", "ok@7:ok:7"},
+      {"ok@4:ok:4", "ok@9:ok:9"},
+      {"ok@5:ok:5", "ok@10:ok:10"},
+      {"ok@3:ok:3", "ok@11:ok:11"}}},
 };
 
 TEST(ClientServiceE2E, QuorumAssemblyWithByzantineReplica) {
@@ -479,14 +498,19 @@ TEST(ClientServiceE2E, QuorumAssemblyWithByzantineReplica) {
 }
 
 TEST(ClientServiceE2E, DeterministicReplayAcrossSeeds) {
-  for (const std::uint64_t seed : {1ull, 2ull}) {
-    SimScenario a(seed, 100 + seed);
-    SimScenario b(seed, 100 + seed);
+  for (const Recorded& rec : kRecorded) {
+    SimScenario a(rec.seed, 100 + rec.seed);
+    SimScenario b(rec.seed, 100 + rec.seed);
     ASSERT_TRUE(a.run());
     ASSERT_TRUE(b.run());
-    // Same seeds -> bit-identical execution sequences and outcomes.
+    // Same seeds -> bit-identical execution sequences and outcomes, and
+    // the very ones the hand-wired harness produced.
     EXPECT_EQ(a.executed, b.executed);
     EXPECT_EQ(a.outcomes, b.outcomes);
+    for (const Sequence& executed : a.executed) {
+      EXPECT_EQ(executed, rec.executed) << "seed " << rec.seed;
+    }
+    EXPECT_EQ(a.outcomes, rec.outcomes) << "seed " << rec.seed;
   }
 }
 

@@ -1,6 +1,7 @@
 // Crash-recovery subsystem (DESIGN.md §10): durable replica log,
 // threshold-signed checkpoints, and the catch-up protocol, exercised
-// from the storage primitives up to a full simulated crash + restart.
+// from the storage primitives up to a full simulated crash + restart of
+// a replica::Replica.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -12,11 +13,11 @@
 
 #include <unistd.h>
 
-#include "core/channel/atomic_channel.hpp"
 #include "recovery/checkpoint.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "recovery/replica_log.hpp"
 #include "recovery/state_store.hpp"
+#include "replica/replica.hpp"
 #include "sim_fixture.hpp"
 #include "util/atomic_file.hpp"
 #include "util/crc32.hpp"
@@ -276,67 +277,67 @@ TEST(RecoveryManager, ReplaysLogAcrossGenerations) {
 
 // ------------------------------------------- full crash + restart (sim)
 
-/// Everything a live party needs in the crash-recovery integration tests.
+/// One replica::Replica (the class sintra_node runs) and what it executed.
 struct Party {
-  std::unique_ptr<RecoveryManager> rec;
-  std::unique_ptr<core::AtomicChannel> chan;
-  std::vector<std::string> delivered;  // live channel deliveries, in order
+  std::unique_ptr<TempDir> dir;        // its durable state directory
+  std::unique_ptr<replica::Replica> replica;
+  std::vector<std::string> executed;   // in order
 };
 
-/// Runs the shared first act: four parties on an atomic channel with
-/// recovery managers (party 3 durable in `dir3`), six payloads from
-/// parties 0..2, party 3 SIGKILLed (crash-stop) after `crash_after`
-/// deliveries, survivors run to completion, close the channel and
+/// Runs the shared first act: four replicas on an atomic channel, each
+/// with a durable state directory; parties 0..2 submit two payloads
+/// each, party 3 is SIGKILLed (crash-stop) after `crash_after`
+/// executions, the survivors run to completion, close the channel and
 /// assemble the final checkpoint certificate.
 class CrashRecoveryTest : public ::testing::Test {
  protected:
-  static constexpr const char* kPid = "rec.chan";
   static constexpr std::size_t kTotal = 6;
 
-  void run_first_act(Cluster& c, StateStore& store3,
-                     const RecoveryManager::Options& opts,
+  static replica::Replica::Options options(const std::string& state_dir,
+                                           int send_count,
+                                           replica::Replica::Options o = {}) {
+    o.send_count = send_count;
+    o.state_dir = state_dir;
+    o.checkpoint_interval = 2;
+    return o;
+  }
+
+  static void attach(Party& p) {
+    p.replica->set_execute_callback([sink = &p.executed](const Bytes& b) {
+      sink->push_back(to_string(b));
+    });
+  }
+
+  void run_first_act(Cluster& c, const std::string& name,
                      std::size_t crash_after, std::vector<Party>& parties,
-                     const core::AtomicChannel::Config& chan_cfg = {}) {
+                     replica::Replica::Options base = {}) {
+    parties.reserve(4);  // attach() keeps pointers into the elements
     for (int i = 0; i < 4; ++i) {
       Party p;
-      p.rec = std::make_unique<RecoveryManager>(
-          c.sim.node(i), c.sim.node(i).dispatcher(), kPid,
-          i == 3 ? &store3 : nullptr, opts);
-      p.chan = std::make_unique<core::AtomicChannel>(
-          c.sim.node(i), c.sim.node(i).dispatcher(), kPid, chan_cfg);
+      p.dir = std::make_unique<TempDir>(name + "_" + std::to_string(i));
+      p.replica = std::make_unique<replica::Replica>(
+          c.sim.node(i), c.sim.node(i).dispatcher(),
+          options(p.dir->str(), i < 3 ? 2 : 0, base));
+      EXPECT_FALSE(p.replica->recovering());
       parties.push_back(std::move(p));
+      attach(parties.back());
     }
     for (int i = 0; i < 4; ++i) {
-      Party& p = parties[static_cast<std::size_t>(i)];
-      RecoveryManager* rec = p.rec.get();
-      std::vector<std::string>* sink = &p.delivered;
-      p.chan->set_deliver_callback(
-          [rec, sink](const Bytes& payload, core::PartyId origin) {
-            rec->on_delivered(payload, origin);
-            sink->push_back(to_string(payload));
-          });
-      p.chan->set_closed_callback([rec] { rec->force_checkpoint(true); });
+      c.sim.at(1.0 + i, i, [&parties, i] {
+        parties[static_cast<std::size_t>(i)].replica->start();
+      });
     }
 
-    for (int s = 0; s < 3; ++s) {
-      for (int m = 0; m < 2; ++m) {
-        c.sim.at(1.0 + 40.0 * m + s, s, [&parties, s, m] {
-          parties[static_cast<std::size_t>(s)].chan->send(
-              to_bytes("s" + std::to_string(s) + "m" + std::to_string(m)));
-        });
-      }
-    }
-
-    // Party 3 dies only after `crash_after` deliveries hit its disk.
+    // Party 3 dies only after `crash_after` executions hit its disk.
     ASSERT_TRUE(c.sim.run_until(
-        [&] { return parties[3].delivered.size() >= crash_after; }, 4e6));
+        [&] { return parties[3].executed.size() >= crash_after; }, 4e6));
     c.sim.node(3).crash();
 
     // The three survivors (exactly n - t = k) finish and close.
     ASSERT_TRUE(c.sim.run_until(
         [&] {
           for (int i = 0; i < 3; ++i) {
-            if (parties[static_cast<std::size_t>(i)].delivered.size() < kTotal)
+            if (parties[static_cast<std::size_t>(i)].executed.size() < kTotal)
               return false;
           }
           return true;
@@ -344,97 +345,84 @@ class CrashRecoveryTest : public ::testing::Test {
         4e6));
     for (int i = 0; i < 3; ++i) {
       c.sim.at(c.sim.now_ms() + 1.0, i, [&parties, i] {
-        parties[static_cast<std::size_t>(i)].chan->close();
+        parties[static_cast<std::size_t>(i)].replica->close();
       });
     }
     ASSERT_TRUE(c.sim.run_until(
         [&] {
           for (int i = 0; i < 3; ++i) {
-            const auto& cert =
-                parties[static_cast<std::size_t>(i)].rec->latest_cert();
+            const auto& cert = parties[static_cast<std::size_t>(i)]
+                                   .replica->recovery()
+                                   ->latest_cert();
             if (!cert.has_value() || !cert->final) return false;
           }
           return true;
         },
         4e6));
     for (int i = 0; i < 3; ++i) {
-      EXPECT_EQ(parties[static_cast<std::size_t>(i)]
-                    .rec->latest_cert()
-                    ->seq,
-                kTotal);
+      const Party& p = parties[static_cast<std::size_t>(i)];
+      EXPECT_TRUE(p.replica->completed());
+      EXPECT_EQ(p.replica->recovery()->latest_cert()->seq, kTotal);
     }
   }
 
-  /// Second act: restart party 3 from `store3` and drive replay +
-  /// catch-up to completion.  Returns the recovered record stream.
-  std::vector<std::string> recover_party3(Cluster& c, StateStore& store3,
-                                          const RecoveryManager::Options& opts,
+  /// Second act: restart party 3 from its state directory — a Replica
+  /// built there detects the restart — and drive replay + catch-up to
+  /// completion.  Returns what the restarted replica executed.
+  std::vector<std::string> recover_party3(Cluster& c,
                                           std::vector<Party>& parties,
                                           std::size_t* replayed_out) {
+    Party& p = parties[3];
     // Protocols hold references into the dead incarnation: drop them
     // first, exactly as the docs on restart_node require.
-    parties[3].chan.reset();
-    parties[3].rec.reset();
+    p.replica.reset();
+    p.executed.clear();
     sim::Node& reborn = c.sim.restart_node(3);
     EXPECT_EQ(c.sim.boots(3), 2u);
 
-    parties[3].rec = std::make_unique<RecoveryManager>(
-        reborn, reborn.dispatcher(), kPid, &store3, opts);
-    std::vector<std::string> recovered;
-    parties[3].rec->set_apply_callback([&](const RecoveryManager::Record& r) {
-      recovered.push_back(to_string(r.payload));
-    });
-    bool caught_up_fired = false;
-    parties[3].rec->set_caught_up_callback([&] { caught_up_fired = true; });
-
-    std::size_t replayed = 0;
-    c.sim.at(c.sim.now_ms() + 1.0, 3, [&] {
-      replayed = parties[3].rec->replay_local();
-      parties[3].rec->start_catchup();
-    });
-    EXPECT_TRUE(c.sim.run_until([&] { return parties[3].rec->caught_up(); },
-                                4e6));
-    EXPECT_TRUE(caught_up_fired);
-    if (replayed_out != nullptr) *replayed_out = replayed;
-    return recovered;
+    p.replica = std::make_unique<replica::Replica>(
+        reborn, reborn.dispatcher(), options(p.dir->str(), 0));
+    EXPECT_TRUE(p.replica->recovering());
+    attach(p);
+    c.sim.at(c.sim.now_ms() + 1.0, 3, [&p] { p.replica->start(); });
+    EXPECT_TRUE(c.sim.run_until([&] { return p.replica->completed(); },
+                                c.sim.now_ms() + 4e6));
+    EXPECT_TRUE(p.replica->recovery()->caught_up());
+    if (replayed_out != nullptr) *replayed_out = p.replica->replayed();
+    return p.executed;
   }
 };
 
 TEST_F(CrashRecoveryTest, RestartedPartyConvergesDeterministically) {
-  RecoveryManager::Options opts;
-  opts.checkpoint_interval = 2;
   Cluster c(4, 1, 21);
-  TempDir dir("crash_restart");
-  StateStore store3(dir.str());
   std::vector<Party> parties;
-  run_first_act(c, store3, opts, /*crash_after=*/2, parties);
+  run_first_act(c, "crash_restart", /*crash_after=*/2, parties);
 
   std::size_t replayed = 0;
   const std::vector<std::string> recovered =
-      recover_party3(c, store3, opts, parties, &replayed);
+      recover_party3(c, parties, &replayed);
 
-  // The log held exactly what party 3 delivered before the crash; replay
+  // The log held exactly what party 3 executed before the crash; replay
   // plus catch-up reconstructs the survivors' stream bit for bit.
   EXPECT_GE(replayed, 2u);
   EXPECT_LT(replayed, kTotal);
-  EXPECT_EQ(recovered, parties[0].delivered);
-  EXPECT_EQ(parties[1].delivered, parties[0].delivered);
-  EXPECT_EQ(parties[2].delivered, parties[0].delivered);
-  EXPECT_EQ(parties[3].rec->delivered_seq(), kTotal);
-  ASSERT_TRUE(parties[3].rec->latest_cert().has_value());
-  EXPECT_TRUE(parties[3].rec->latest_cert()->final);
+  EXPECT_EQ(recovered, parties[0].executed);
+  EXPECT_EQ(parties[1].executed, parties[0].executed);
+  EXPECT_EQ(parties[2].executed, parties[0].executed);
+  const recovery::RecoveryManager& rec3 = *parties[3].replica->recovery();
+  EXPECT_EQ(rec3.delivered_seq(), kTotal);
+  ASSERT_TRUE(rec3.latest_cert().has_value());
+  EXPECT_TRUE(rec3.latest_cert()->final);
 
   // Determinism: the whole scenario replays identically under the same
   // seed (the point of deterministic crash+restart in the simulator).
   Cluster c2(4, 1, 21);
-  TempDir dir2("crash_restart_2");
-  StateStore store3b(dir2.str());
   std::vector<Party> parties2;
-  run_first_act(c2, store3b, opts, /*crash_after=*/2, parties2);
+  run_first_act(c2, "crash_restart_2", /*crash_after=*/2, parties2);
   const std::vector<std::string> recovered2 =
-      recover_party3(c2, store3b, opts, parties2, nullptr);
+      recover_party3(c2, parties2, nullptr);
   EXPECT_EQ(recovered2, recovered);
-  EXPECT_EQ(parties2[0].delivered, parties[0].delivered);
+  EXPECT_EQ(parties2[0].executed, parties[0].executed);
 }
 
 TEST_F(CrashRecoveryTest, PipelinedChannelRecoversMidPipeline) {
@@ -443,41 +431,36 @@ TEST_F(CrashRecoveryTest, PipelinedChannelRecoversMidPipeline) {
   // durable log + catch-up must still reconstruct the survivors' stream
   // exactly — recovery keys off the delivered sequence, which stays
   // strictly round-ordered under pipelining.
-  RecoveryManager::Options opts;
-  opts.checkpoint_interval = 2;
-  core::AtomicChannel::Config chan_cfg;
-  chan_cfg.max_batch_count = 4;
-  chan_cfg.pipeline_depth = 3;
+  replica::Replica::Options pipelined;
+  pipelined.batch_count = 4;
+  pipelined.pipeline_depth = 3;
   Cluster c(4, 1, 23);
-  TempDir dir("crash_pipelined");
-  StateStore store3(dir.str());
   std::vector<Party> parties;
-  run_first_act(c, store3, opts, /*crash_after=*/2, parties, chan_cfg);
+  run_first_act(c, "crash_pipelined", /*crash_after=*/2, parties, pipelined);
 
   std::size_t replayed = 0;
   const std::vector<std::string> recovered =
-      recover_party3(c, store3, opts, parties, &replayed);
+      recover_party3(c, parties, &replayed);
 
   EXPECT_GE(replayed, 2u);
-  EXPECT_EQ(recovered, parties[0].delivered);
-  EXPECT_EQ(parties[1].delivered, parties[0].delivered);
-  EXPECT_EQ(parties[2].delivered, parties[0].delivered);
-  EXPECT_EQ(parties[3].rec->delivered_seq(), kTotal);
-  ASSERT_TRUE(parties[3].rec->latest_cert().has_value());
-  EXPECT_TRUE(parties[3].rec->latest_cert()->final);
+  EXPECT_EQ(recovered, parties[0].executed);
+  EXPECT_EQ(parties[1].executed, parties[0].executed);
+  EXPECT_EQ(parties[2].executed, parties[0].executed);
+  const recovery::RecoveryManager& rec3 = *parties[3].replica->recovery();
+  EXPECT_EQ(rec3.delivered_seq(), kTotal);
+  ASSERT_TRUE(rec3.latest_cert().has_value());
+  EXPECT_TRUE(rec3.latest_cert()->final);
 }
 
 TEST_F(CrashRecoveryTest, CorruptedLogFallsBackToCatchup) {
-  RecoveryManager::Options opts;
-  opts.checkpoint_interval = 2;
   Cluster c(4, 1, 22);
-  TempDir dir("crash_corrupt");
-  StateStore store3(dir.str());
   std::vector<Party> parties;
-  run_first_act(c, store3, opts, /*crash_after=*/3, parties);
+  run_first_act(c, "crash_corrupt", /*crash_after=*/3, parties);
 
   // Bit rot on party 3's disk: flip a byte inside the log's final frame.
-  const std::string log_path = store3.log_path(kPid);
+  const std::string dir3 = parties[3].dir->str();
+  const std::string log_path =
+      StateStore(dir3).log_path(parties[3].replica->pid());
   const std::size_t logged = ReplicaLog::load(log_path).records.size();
   ASSERT_GE(logged, 3u);
   const std::size_t size = std::filesystem::file_size(log_path);
@@ -494,27 +477,29 @@ TEST_F(CrashRecoveryTest, CorruptedLogFallsBackToCatchup) {
 
   std::size_t replayed = 0;
   const std::vector<std::string> recovered =
-      recover_party3(c, store3, opts, parties, &replayed);
+      recover_party3(c, parties, &replayed);
 
   // Replay stopped at the corruption, catch-up supplied the difference,
   // and the stream still converges with the survivors'.
   EXPECT_EQ(replayed, logged - 1);
-  EXPECT_EQ(recovered, parties[0].delivered);
-  EXPECT_EQ(parties[3].rec->delivered_seq(), kTotal);
-  EXPECT_TRUE(parties[3].rec->caught_up());
+  EXPECT_EQ(recovered, parties[0].executed);
+  EXPECT_EQ(parties[3].replica->recovery()->delivered_seq(), kTotal);
 
   // The repaired log was re-extended: a THIRD incarnation replays the
-  // complete stream from disk alone.
-  parties[3].rec.reset();
+  // complete stream from disk alone, and the persisted final certificate
+  // makes it caught up without network.
+  parties[3].replica.reset();
   sim::Node& third = c.sim.restart_node(3);
-  RecoveryManager again(third, third.dispatcher(), kPid, &store3, opts);
+  replica::Replica again(third, third.dispatcher(), options(dir3, 0));
+  ASSERT_TRUE(again.recovering());
   std::size_t from_disk = 0;
-  again.set_apply_callback(
-      [&](const RecoveryManager::Record&) { ++from_disk; });
-  EXPECT_EQ(again.replay_local(), kTotal);
+  again.set_execute_callback([&](const Bytes&) { ++from_disk; });
+  c.sim.at(c.sim.now_ms() + 1.0, 3, [&] { again.start(); });
+  c.sim.run(c.sim.now_ms() + 2.0);
+  EXPECT_EQ(again.replayed(), kTotal);
   EXPECT_EQ(from_disk, kTotal);
-  // The persisted final certificate makes it caught up without network.
-  EXPECT_TRUE(again.caught_up());
+  EXPECT_TRUE(again.recovery()->caught_up());
+  EXPECT_TRUE(again.completed());
 }
 
 }  // namespace

@@ -49,6 +49,38 @@ TEST(SecureAtomicChannel, EndToEndDelivery) {
   for (const auto& ch : chans) EXPECT_EQ(delivered_strings(*ch), expected);
 }
 
+TEST(SecureAtomicChannel, PushOnlyKeepsNoCiphertextOrCleartextInbox) {
+  // The inner atomic channel hands every ordered ciphertext straight to
+  // the decryption stage, so it must not also buffer it for receive():
+  // that inbox was never drained and grew by one ciphertext per
+  // delivery.  A cleartext callback likewise turns this channel's own
+  // inbox off.
+  Cluster c(4, 1, 6);
+  auto chans = make_channels(c, "sac.push");
+  std::vector<std::string> pushed;
+  chans[1]->set_deliver_callback([&](const Bytes& payload, PartyId origin) {
+    EXPECT_EQ(origin, -1);  // the sender is hidden in the ciphertext
+    pushed.push_back(to_string(payload));
+  });
+  constexpr int kMessages = 4;
+  for (int m = 0; m < kMessages; ++m) {
+    c.sim.at(m * 1.0, 0, [&, m] {
+      chans[0]->send(to_bytes("sealed-" + std::to_string(m)));
+    });
+  }
+  ASSERT_TRUE(c.sim.run_until(
+      [&] { return all_delivered_count(chans, kMessages); }, 4e6));
+  for (const auto& ch : chans) {
+    EXPECT_EQ(ch->ordering().deliveries().size(),
+              static_cast<std::size_t>(kMessages));
+    EXPECT_FALSE(ch->ordering().can_receive());
+  }
+  EXPECT_EQ(pushed, delivered_strings(*chans[1]));
+  EXPECT_FALSE(chans[1]->can_receive());
+  // Without a callback the pull surface still works.
+  EXPECT_EQ(to_string(*chans[2]->receive()), "sealed-0");
+}
+
 TEST(SecureAtomicChannel, CiphertextAvailableBeforeCleartext) {
   // receiveCiphertext (§3.4): the position of the next output is fixed
   // (ciphertext known) before/independently of its decryption.

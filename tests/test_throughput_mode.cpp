@@ -297,7 +297,8 @@ TEST(ThroughputMode, SecureChannelPipelinesAndCapsLog) {
       });
   std::vector<std::vector<std::string>> seen(chans.size());
   for (std::size_t i = 0; i < chans.size(); ++i) {
-    chans[i]->set_deliver_callback([&seen, i](const Bytes& payload) {
+    chans[i]->set_deliver_callback([&seen, i](const Bytes& payload,
+                                              PartyId) {
       seen[i].push_back(to_string(payload));
     });
   }
