@@ -28,14 +28,22 @@ trap 'rm -f "$raw"' EXIT
   --benchmark_out="$raw" \
   --benchmark_out_format=json
 
+# Bench context: this tree's build type (not google-benchmark's own) and
+# the commit measured; null outside a git checkout.
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$build_dir/CMakeCache.txt")"
+commit="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || true)"
+
 python3 - "$raw" "$build_dir/BENCH_crypto.json" \
-  "$repo_root/scripts/bench_baselines.json" <<'PY'
+  "$repo_root/scripts/bench_baselines.json" "$build_type" "$commit" <<'PY'
 import json
 import os
 import platform
 import sys
 
 raw_path, out_path, baselines_path = sys.argv[1], sys.argv[2], sys.argv[3]
+# An empty cache entry means CMakeLists.txt's default applies.
+build_type = sys.argv[4] or "RelWithDebInfo"
+commit = sys.argv[5] or None
 with open(raw_path) as f:
     raw = json.load(f)
 
@@ -61,7 +69,10 @@ out = {
                    "*Fast benchmarks use the shipped multi-exp/comb paths.",
     "context": {
         "date": raw.get("context", {}).get("date"),
-        "build_type": raw.get("context", {}).get("library_build_type"),
+        "build_type": build_type,
+        "commit": commit,
+        "benchmark_library_build_type":
+            raw.get("context", {}).get("library_build_type"),
         "group": "dl_p=1024, dl_q=160, n=4, t=1, hash=sha1",
     },
     "benchmarks": benchmarks,

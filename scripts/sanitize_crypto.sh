@@ -26,9 +26,12 @@ sanitize="${SINTRA_SANITIZE:-address,undefined}"
 if [[ "$sanitize" == "thread" ]]; then
   build_dir="${1:-$repo_root/build-tsan}"
   # Suites with real multi-threading: the worker pool itself, the epoll
-  # event loop (cross-thread call_soon), the UDP transport, and the
-  # 4-process loopback clusters that run node binaries with the pool on.
+  # event loop (cross-thread call_soon), the UDP transport, the threaded
+  # combine-first fallback (crypto/checked_combine.hpp fanning share
+  # checks out through WorkPool::run_parallel), and the 4-process
+  # loopback clusters that run node binaries with the pool on.
   filter='WorkPool|EventLoop|UdpSocket|NetEnvironment|SlidingWindow'
+  filter+='|Optimistic|ScaleParams.ByzantineShareParallelFallback'
   filter+='|LocalCluster'
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 else

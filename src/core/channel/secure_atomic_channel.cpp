@@ -54,8 +54,8 @@ std::optional<Bytes> SecureAtomicChannel::receive() {
 }
 
 std::optional<Bytes> SecureAtomicChannel::receive_ciphertext() {
-  if (ciphertext_cursor_ >= ciphertexts_.size()) return std::nullopt;
-  return ciphertexts_[ciphertext_cursor_++];
+  if (ciphertext_cursor_ >= slots_.size()) return std::nullopt;
+  return slots_[ciphertext_cursor_++].ciphertext;
 }
 
 void SecureAtomicChannel::on_ciphertext_delivered(const Bytes& ciphertext) {
@@ -64,7 +64,6 @@ void SecureAtomicChannel::on_ciphertext_delivered(const Bytes& ciphertext) {
   slot.ciphertext = ciphertext;
   slot.delivered_ms = env_.now_ms();
   slots_.push_back(std::move(slot));
-  ciphertexts_.push_back(ciphertext);
 
   // The label binds a ciphertext to its channel: one produced for another
   // channel (a cross-context replay) is skipped exactly like an invalid

@@ -56,7 +56,7 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   /// receiveCiphertext); nullopt if none.
   std::optional<Bytes> receive_ciphertext();
   [[nodiscard]] bool can_receive_ciphertext() const {
-    return ciphertext_cursor_ < ciphertexts_.size();
+    return ciphertext_cursor_ < slots_.size();
   }
 
   void close() { atomic_->close(); }
@@ -128,7 +128,6 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   std::vector<Slot> slots_;
   std::size_t next_delivery_ = 0;     // next slot to release in order
   std::size_t ciphertext_cursor_ = 0; // receive_ciphertext position
-  std::vector<Bytes> ciphertexts_;
   // Shares that arrived before their ciphertext's slot existed.
   std::map<std::size_t, std::map<PartyId, Bytes>> early_shares_;
 

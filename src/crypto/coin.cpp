@@ -1,12 +1,10 @@
 #include "crypto/coin.hpp"
 
-#include <functional>
 #include <set>
 #include <stdexcept>
 
 #include "crypto/cost.hpp"
 #include "crypto/shamir.hpp"
-#include "crypto/work_pool.hpp"
 #include "util/serde.hpp"
 
 namespace sintra::crypto {
@@ -134,102 +132,39 @@ bool ThresholdCoin::assemble_bit(
 
 std::optional<ThresholdCoin::AssembledCoin> ThresholdCoin::assemble_checked(
     BytesView name, const std::vector<std::pair<int, Bytes>>& shares,
-    std::size_t out_len, WorkPool* wp) const {
+    std::size_t out_len, WorkPool* pool) const {
   const DlogGroup& grp = pub_->group;
   const BigInt base = grp.hash_to_group(name);
-
-  // Working pool: first-come order, one share per signer, blacklisted
-  // signers skipped, unparseable shares blacklisted outright (shares
-  // arrive over authenticated links, so garbage is the signer's doing).
-  struct Candidate {
-    const std::pair<int, Bytes>* share;
-    ParsedCoinShare parsed;
-  };
-  std::vector<Candidate> pool;
-  std::set<int> seen;
-  pool.reserve(shares.size());
-  for (const auto& share : shares) {
-    const int idx = share.first;
-    if (idx < 0 || idx >= pub_->n || blacklist_.contains(idx)) continue;
-    if (seen.count(idx) != 0) continue;
-    Candidate cand{&share, {}};
-    try {
-      cand.parsed = parse_coin_share(share.second);
-    } catch (const SerdeError&) {
-      blacklist_.add(idx);
-      continue;
-    }
-    seen.insert(idx);
-    pool.push_back(std::move(cand));
-  }
-
-  bool first_attempt = true;
-  while (static_cast<int>(pool.size()) >= pub_->k) {
-    const auto kk = static_cast<std::size_t>(pub_->k);
-    std::vector<DleqStatement> stmts;
-    stmts.reserve(kk);
-    for (std::size_t j = 0; j < kk; ++j) {
-      const auto signer = static_cast<std::size_t>(pool[j].share->first);
-      stmts.push_back({grp.g(), pub_->verification[signer], base,
-                       pool[j].parsed.gi, pool[j].parsed.proof});
-    }
-    bool ok;
-    {
-      const std::lock_guard lk(verify_mu_);
-      ok = dleq_batch_verify(grp, stmts, verify_rng_, kCoinHints,
-                             BatchMembership::kBatched);
-    }
-    if (ok) {
-      if (first_attempt) count_optimistic_hit("coin");
-      AssembledCoin out;
-      out.used.reserve(kk);
-      for (std::size_t j = 0; j < kk; ++j) out.used.push_back(*pool[j].share);
-      out.value = assemble(name, out.used, out_len);
-      return out;
-    }
-
-    first_attempt = false;
-    count_fallback("coin");
-    std::vector<std::size_t> bad;
-    if (wp != nullptr && !wp->inline_mode() && stmts.size() > 1) {
-      // Threaded fallback: one scalar verification per statement, fanned
-      // out across cores.  Scalar verdicts are exactly what
-      // dleq_find_invalid's singleton leaves produce, so the bad set (and
-      // therefore the blacklist and the retry behaviour) is identical to
-      // the serial bisection — only the wall-clock differs.
-      std::vector<char> good(stmts.size(), 0);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(stmts.size());
-      for (std::size_t j = 0; j < stmts.size(); ++j) {
-        jobs.push_back([&grp, &stmts, &good, j] {
-          const DleqStatement& s = stmts[j];
-          good[j] = dleq_verify(grp, s.g1, s.h1, s.g2, s.h2, s.proof,
-                                kCoinHints)
-                        ? 1
-                        : 0;
-        });
-      }
-      wp->run_parallel(jobs);
-      count_parallel_verify("coin", stmts.size());
-      for (std::size_t j = 0; j < stmts.size(); ++j) {
-        if (good[j] == 0) bad.push_back(j);
-      }
-    } else {
-      const std::lock_guard lk(verify_mu_);
-      bad = dleq_find_invalid(grp, stmts, verify_rng_, kCoinHints);
-    }
-    if (bad.empty()) {
-      // Cannot happen for an honestly-dealt coin (the batch never rejects
-      // a set the scalar verifier accepts wholesale); bail out rather
-      // than retry the same set forever.
-      return std::nullopt;
-    }
-    for (const std::size_t bi : bad) blacklist_.add(pool[bi].share->first);
-    for (auto it = bad.rbegin(); it != bad.rend(); ++it) {
-      pool.erase(pool.begin() + static_cast<long>(*it));
-    }
-  }
-  return std::nullopt;
+  using Chosen = CheckedCombiner::Candidates<DleqStatement>;
+  return checked_.run(
+      pub_->n, pub_->k, shares, pool,
+      [&](const std::pair<int, Bytes>& share) {
+        ParsedCoinShare p = parse_coin_share(share.second);
+        return DleqStatement{
+            grp.g(), pub_->verification[static_cast<std::size_t>(share.first)],
+            base, std::move(p.gi), std::move(p.proof)};
+      },
+      [&](const Chosen& c) -> std::optional<AssembledCoin> {
+        {
+          const std::lock_guard lk(verify_mu_);
+          if (!dleq_batch_verify(grp, c.parsed, verify_rng_, kCoinHints,
+                                 BatchMembership::kBatched)) {
+            return std::nullopt;
+          }
+        }
+        AssembledCoin out;
+        for (const auto* input : c.inputs) out.used.push_back(*input);
+        out.value = assemble(name, out.used, out_len);
+        return out;
+      },
+      [&](const Chosen& c) {
+        const std::lock_guard lk(verify_mu_);
+        return dleq_find_invalid(grp, c.parsed, verify_rng_, kCoinHints);
+      },
+      [&](const Chosen& c, std::size_t j) {
+        const DleqStatement& s = c.parsed[j];
+        return dleq_verify(grp, s.g1, s.h1, s.g2, s.h2, s.proof, kCoinHints);
+      });
 }
 
 std::optional<std::pair<bool, std::vector<std::pair<int, Bytes>>>>

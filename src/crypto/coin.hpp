@@ -14,14 +14,12 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/blacklist.hpp"
+#include "crypto/checked_combine.hpp"
 #include "crypto/group.hpp"
 #include "crypto/shamir.hpp"
 #include "util/bytes.hpp"
 
 namespace sintra::crypto {
-
-class WorkPool;
 
 struct CoinPublic {
   int n = 0;
@@ -70,22 +68,15 @@ class ThresholdCoin {
     std::vector<std::pair<int, Bytes>> used;
   };
 
-  /// Batch-first fast path: picks the first k plausible shares (skipping
-  /// duplicates and locally blacklisted signers), verifies them with ONE
-  /// random-linear-combination DLEQ check plus one batched membership
-  /// check (dleq_batch_verify, BatchMembership::kBatched) and assembles.
-  /// On batch failure the fallback isolates the bad shares by bisection,
-  /// blacklists their signers on this handle, and retries with
-  /// replacements.  Returns nullopt while fewer than k shares from
-  /// distinct non-blacklisted signers are available.  A batched-membership
-  /// false accept (probability <= 1/3 per attempt, see
+  /// Combine-first fast path (crypto/checked_combine.hpp): checks the
+  /// first k plausible shares with ONE random-linear-combination DLEQ
+  /// check plus one batched membership check (dleq_batch_verify,
+  /// BatchMembership::kBatched) and assembles them.  On failure, DLEQ
+  /// bisection (dleq_find_invalid) names the offenders.  A batched-
+  /// membership false accept (probability <= 1/3 per attempt, see
   /// DlogGroup::is_member_batch) can only poison the coin *value* — a
   /// liveness event (one disagreeing coin costs an extra agreement round),
   /// never a safety one.  Thread-safe.
-  /// When a threaded `pool` is given, the fallback verifies each chosen
-  /// share's DLEQ proof individually via WorkPool::run_parallel (across
-  /// cores) instead of serial bisection; the accepted/blacklisted sets
-  /// are identical either way.
   [[nodiscard]] std::optional<AssembledCoin> assemble_checked(
       BytesView name, const std::vector<std::pair<int, Bytes>>& shares,
       std::size_t out_len, WorkPool* pool = nullptr) const;
@@ -110,7 +101,7 @@ class ThresholdCoin {
   /// True if `signer` was caught (by an assemble_checked fallback on this
   /// handle) submitting a bad share.
   [[nodiscard]] bool is_blacklisted(int signer) const {
-    return blacklist_.contains(signer);
+    return checked_.is_blacklisted(signer);
   }
 
  private:
@@ -125,7 +116,7 @@ class ThresholdCoin {
   // checked assemblies may run on a crypto worker pool.
   mutable std::mutex verify_mu_;
   mutable Rng verify_rng_;
-  mutable SignerBlacklist blacklist_;
+  mutable CheckedCombiner checked_{"coin"};
 };
 
 struct CoinDeal {

@@ -1,13 +1,11 @@
 #include "crypto/tdh2.hpp"
 
-#include <functional>
 #include <set>
 #include <stdexcept>
 
 #include "crypto/aes128.hpp"
 #include "crypto/cost.hpp"
 #include "crypto/shamir.hpp"
-#include "crypto/work_pool.hpp"
 #include "util/serde.hpp"
 
 namespace sintra::crypto {
@@ -112,6 +110,23 @@ bool ct_valid_impl(const Tdh2Public& pub, const Ciphertext& ct) {
   return ct_challenge(grp, ct, w, w_bar) == ct.e;
 }
 
+// Lagrange in the exponent gives h^r = u^x from the k shares u^{x_i}, as
+// one simultaneous multi-exponentiation with memoized coefficients; h^r
+// keys the AES-CTR bulk decryption.
+Bytes open_with_shares(const DlogGroup& grp, LagrangeCache& lagrange,
+                       const Ciphertext& ct, const std::vector<int>& indices,
+                       const std::vector<BigInt>& values) {
+  const std::vector<BigInt> lambdas = lagrange.coeffs_zero(indices, grp.q());
+  std::vector<std::pair<BigInt, BigInt>> terms;
+  terms.reserve(indices.size());
+  for (std::size_t j = 0; j < indices.size(); ++j) {
+    terms.emplace_back(values[j], lambdas[j]);
+  }
+  const BigInt hr = grp.multi_exp(terms);
+  const auto [key, nonce] = derive_keys(grp, hr);
+  return Aes128(key).ctr_crypt(nonce, ct.c);
+}
+
 }  // namespace
 
 Bytes Tdh2Public::encrypt(BytesView plaintext, BytesView label,
@@ -212,7 +227,6 @@ Bytes Tdh2Party::combine(
   if (static_cast<int>(shares.size()) < pub_->k)
     throw std::invalid_argument("Tdh2Party::combine: need k shares");
 
-  const DlogGroup& grp = pub_->group;
   std::vector<int> indices;
   std::vector<BigInt> values;
   std::set<int> seen;
@@ -224,23 +238,12 @@ Bytes Tdh2Party::combine(
     indices.push_back(idx);
     values.push_back(parse_share(raw).ui);
   }
-
-  // h^r = u^x via Lagrange in the exponent, as one simultaneous
-  // multi-exponentiation with memoized coefficients.
-  const std::vector<BigInt> lambdas = lagrange_.coeffs_zero(indices, grp.q());
-  std::vector<std::pair<BigInt, BigInt>> terms;
-  terms.reserve(indices.size());
-  for (std::size_t j = 0; j < indices.size(); ++j) {
-    terms.emplace_back(values[j], lambdas[j]);
-  }
-  const BigInt hr = grp.multi_exp(terms);
-  const auto [key, nonce] = derive_keys(grp, hr);
-  return Aes128(key).ctr_crypt(nonce, ct.c);
+  return open_with_shares(pub_->group, lagrange_, ct, indices, values);
 }
 
 std::optional<Bytes> Tdh2Party::combine_checked(
     BytesView ciphertext, const std::vector<std::pair<int, Bytes>>& shares,
-    WorkPool* pool_arg) const {
+    WorkPool* pool) const {
   Ciphertext ct;
   try {
     ct = parse_ct(ciphertext);
@@ -249,99 +252,36 @@ std::optional<Bytes> Tdh2Party::combine_checked(
   }
   if (!ct_valid_impl(*pub_, ct)) return std::nullopt;
   const DlogGroup& grp = pub_->group;
-
-  // Working pool: first-come order, one share per signer, blacklisted
-  // signers skipped, unparseable shares blacklisted outright.
-  struct Candidate {
-    int signer;
-    ParsedShare parsed;
-  };
-  std::vector<Candidate> pool;
-  std::set<int> seen;
-  pool.reserve(shares.size());
-  for (const auto& [idx, raw] : shares) {
-    if (idx < 0 || idx >= pub_->n || blacklist_.contains(idx)) continue;
-    if (seen.count(idx) != 0) continue;
-    Candidate cand{idx, {}};
-    try {
-      cand.parsed = parse_share(raw);
-    } catch (const SerdeError&) {
-      blacklist_.add(idx);
-      continue;
-    }
-    seen.insert(idx);
-    pool.push_back(std::move(cand));
-  }
-
-  bool first_attempt = true;
-  while (static_cast<int>(pool.size()) >= pub_->k) {
-    const auto kk = static_cast<std::size_t>(pub_->k);
-    std::vector<DleqStatement> stmts;
-    stmts.reserve(kk);
-    for (std::size_t j = 0; j < kk; ++j) {
-      const auto signer = static_cast<std::size_t>(pool[j].signer);
-      stmts.push_back({grp.g(), pub_->verification[signer], ct.u,
-                       pool[j].parsed.ui, pool[j].parsed.proof});
-    }
-    bool ok;
-    {
-      const std::lock_guard lk(verify_mu_);
-      ok = dleq_batch_verify(grp, stmts, verify_rng_, kShareHints,
-                             BatchMembership::kIndividual);
-    }
-    if (ok) {
-      if (first_attempt) count_optimistic_hit("tdh2");
-      const OpScope ops("tdh2.combine");
-      std::vector<int> indices;
-      indices.reserve(kk);
-      for (std::size_t j = 0; j < kk; ++j) indices.push_back(pool[j].signer);
-      const std::vector<BigInt> lambdas =
-          lagrange_.coeffs_zero(indices, grp.q());
-      std::vector<std::pair<BigInt, BigInt>> terms;
-      terms.reserve(kk);
-      for (std::size_t j = 0; j < kk; ++j) {
-        terms.emplace_back(pool[j].parsed.ui, lambdas[j]);
-      }
-      const BigInt hr = grp.multi_exp(terms);
-      const auto [key, nonce] = derive_keys(grp, hr);
-      return Aes128(key).ctr_crypt(nonce, ct.c);
-    }
-
-    first_attempt = false;
-    count_fallback("tdh2");
-    std::vector<std::size_t> bad;
-    if (pool_arg != nullptr && !pool_arg->inline_mode() && stmts.size() > 1) {
-      // Threaded fallback: scalar verdict per statement across cores;
-      // identical bad set to the serial bisection (see
-      // ThresholdCoin::assemble_checked).
-      std::vector<char> good(stmts.size(), 0);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(stmts.size());
-      for (std::size_t j = 0; j < stmts.size(); ++j) {
-        jobs.push_back([&grp, &stmts, &good, j] {
-          const DleqStatement& s = stmts[j];
-          good[j] = dleq_verify(grp, s.g1, s.h1, s.g2, s.h2, s.proof,
-                                kShareHints)
-                        ? 1
-                        : 0;
-        });
-      }
-      pool_arg->run_parallel(jobs);
-      count_parallel_verify("tdh2", stmts.size());
-      for (std::size_t j = 0; j < stmts.size(); ++j) {
-        if (good[j] == 0) bad.push_back(j);
-      }
-    } else {
-      const std::lock_guard lk(verify_mu_);
-      bad = dleq_find_invalid(grp, stmts, verify_rng_, kShareHints);
-    }
-    if (bad.empty()) return std::nullopt;  // see ThresholdCoin::assemble_checked
-    for (const std::size_t bi : bad) blacklist_.add(pool[bi].signer);
-    for (auto it = bad.rbegin(); it != bad.rend(); ++it) {
-      pool.erase(pool.begin() + static_cast<long>(*it));
-    }
-  }
-  return std::nullopt;
+  using Chosen = CheckedCombiner::Candidates<DleqStatement>;
+  return checked_.run(
+      pub_->n, pub_->k, shares, pool,
+      [&](const std::pair<int, Bytes>& share) {
+        ParsedShare p = parse_share(share.second);
+        return DleqStatement{
+            grp.g(), pub_->verification[static_cast<std::size_t>(share.first)],
+            ct.u, std::move(p.ui), std::move(p.proof)};
+      },
+      [&](const Chosen& c) -> std::optional<Bytes> {
+        {
+          const std::lock_guard lk(verify_mu_);
+          if (!dleq_batch_verify(grp, c.parsed, verify_rng_, kShareHints,
+                                 BatchMembership::kIndividual)) {
+            return std::nullopt;
+          }
+        }
+        const OpScope ops("tdh2.combine");
+        std::vector<BigInt> values;
+        for (const DleqStatement& s : c.parsed) values.push_back(s.h2);
+        return open_with_shares(grp, lagrange_, ct, c.signers(), values);
+      },
+      [&](const Chosen& c) {
+        const std::lock_guard lk(verify_mu_);
+        return dleq_find_invalid(grp, c.parsed, verify_rng_, kShareHints);
+      },
+      [&](const Chosen& c, std::size_t j) {
+        const DleqStatement& s = c.parsed[j];
+        return dleq_verify(grp, s.g1, s.h1, s.g2, s.h2, s.proof, kShareHints);
+      });
 }
 
 std::unique_ptr<Tdh2Party> Tdh2Deal::make_party(int i) const {

@@ -18,14 +18,12 @@
 #include <optional>
 #include <vector>
 
-#include "crypto/blacklist.hpp"
+#include "crypto/checked_combine.hpp"
 #include "crypto/group.hpp"
 #include "crypto/shamir.hpp"
 #include "util/bytes.hpp"
 
 namespace sintra::crypto {
-
-class WorkPool;
 
 struct Tdh2Public {
   int n = 0;
@@ -78,22 +76,15 @@ class Tdh2Party {
       BytesView ciphertext,
       const std::vector<std::pair<int, Bytes>>& shares) const;
 
-  /// Batch-first fast path: picks the first k plausible shares (skipping
-  /// duplicates and locally blacklisted signers), verifies their DLEQ
-  /// proofs with ONE random-linear-combination check — paying the
-  /// ciphertext-validity check once instead of once per share — then
-  /// interpolates the plaintext.  On batch failure the fallback isolates
-  /// the bad shares by bisection, blacklists their signers on this
-  /// handle, and retries with replacements.  Returns nullopt on an
-  /// invalid ciphertext or while fewer than k shares from distinct
-  /// non-blacklisted signers are available.  Membership checks stay
-  /// *individual* (BatchMembership::kIndividual): a decryption accepting
-  /// a poisoned share would deliver a wrong plaintext — a safety
-  /// violation, unlike a disagreeing coin.  Thread-safe.
-  /// When a threaded `pool` is given, the fallback verifies each chosen
-  /// share individually via WorkPool::run_parallel (across cores)
-  /// instead of serial bisection; the accepted/blacklisted sets are
-  /// identical either way.
+  /// Combine-first fast path (crypto/checked_combine.hpp): checks the
+  /// DLEQ proofs of the first k plausible shares with ONE random-linear-
+  /// combination check — paying the ciphertext-validity check once instead
+  /// of once per share — then interpolates the plaintext.  On failure,
+  /// DLEQ bisection (dleq_find_invalid) names the offenders.  Returns
+  /// nullopt on an invalid ciphertext.  Membership checks stay
+  /// *individual* (BatchMembership::kIndividual): a decryption accepting a
+  /// poisoned share would deliver a wrong plaintext — a safety violation,
+  /// unlike a disagreeing coin.  Thread-safe.
   [[nodiscard]] std::optional<Bytes> combine_checked(
       BytesView ciphertext, const std::vector<std::pair<int, Bytes>>& shares,
       WorkPool* pool = nullptr) const;
@@ -101,7 +92,7 @@ class Tdh2Party {
   /// True if `signer` was caught (by a combine_checked fallback on this
   /// handle) submitting a bad decryption share.
   [[nodiscard]] bool is_blacklisted(int signer) const {
-    return blacklist_.contains(signer);
+    return checked_.is_blacklisted(signer);
   }
 
  private:
@@ -115,7 +106,7 @@ class Tdh2Party {
   // so checked combines may run on a crypto worker pool.
   mutable std::mutex verify_mu_;
   mutable Rng verify_rng_;
-  mutable SignerBlacklist blacklist_;
+  mutable CheckedCombiner checked_{"tdh2"};
 };
 
 struct Tdh2Deal {

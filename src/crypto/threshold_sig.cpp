@@ -9,7 +9,6 @@
 #include "bignum/montgomery.hpp"
 #include "crypto/cost.hpp"
 #include "crypto/shamir.hpp"
-#include "crypto/work_pool.hpp"
 
 namespace sintra::crypto {
 
@@ -144,87 +143,32 @@ ParsedShare parse_share(BytesView share) {
 std::optional<ThresholdSigScheme::CheckedSignature>
 ThresholdSigScheme::combine_checked(
     BytesView msg, const std::vector<std::pair<int, Bytes>>& shares,
-    WorkPool* wp) const {
-  // Working pool: first-come order, one share per signer, blacklisted
-  // signers skipped up front.
-  std::vector<const std::pair<int, Bytes>*> pool;
-  std::set<int> seen;
-  pool.reserve(shares.size());
-  for (const auto& share : shares) {
-    const int idx = share.first;
-    if (idx < 0 || idx >= n() || is_blacklisted(idx)) continue;
-    if (!seen.insert(idx).second) continue;
-    pool.push_back(&share);
-  }
-
-  bool first_attempt = true;
-  while (static_cast<int>(pool.size()) >= k()) {
-    std::vector<std::pair<int, Bytes>> chosen;
-    chosen.reserve(static_cast<std::size_t>(k()));
-    for (int j = 0; j < k(); ++j) chosen.push_back(*pool[static_cast<std::size_t>(j)]);
-
-    Bytes sig;
-    bool ok = false;
-    try {
-      sig = combine(msg, chosen);
-      ok = verify(msg, sig);
-    } catch (const std::exception&) {
-      ok = false;  // malformed share bytes surface as parse errors here
-    }
-    if (ok) {
-      if (first_attempt) count_optimistic_hit("threshold_sig");
-      CheckedSignature out;
-      out.sig = std::move(sig);
-      out.used.reserve(chosen.size());
-      for (const auto& [idx, raw] : chosen) out.used.push_back(idx);
-      return out;
-    }
-
-    // Fallback: find the offenders among the chosen shares, remember them,
-    // and retry with replacements.
-    first_attempt = false;
-    count_fallback("threshold_sig");
-    std::set<int> dropped;
-    if (wp != nullptr && !wp->inline_mode() && chosen.size() > 1) {
-      // k independent verifications across cores; verdicts land in
-      // per-share slots, so the blacklist outcome matches the serial loop.
-      std::vector<char> good(chosen.size(), 0);
-      std::vector<std::function<void()>> jobs;
-      jobs.reserve(chosen.size());
-      for (std::size_t j = 0; j < chosen.size(); ++j) {
-        jobs.push_back([this, msg, j, &chosen, &good] {
-          good[j] = verify_share(msg, chosen[j].first, chosen[j].second)
-                        ? 1
-                        : 0;
-        });
-      }
-      wp->run_parallel(jobs);
-      count_parallel_verify("threshold_sig", chosen.size());
-      for (std::size_t j = 0; j < chosen.size(); ++j) {
-        if (good[j] == 0) {
-          blacklist_.add(chosen[j].first);
-          dropped.insert(chosen[j].first);
+    WorkPool* pool) const {
+  // Shares stay raw until combine(), which surfaces malformed bytes as an
+  // exception: a failed attempt like any other.
+  using Chosen = CheckedCombiner::Candidates<std::pair<int, Bytes>>;
+  const auto share_ok = [&](const Chosen& c, std::size_t j) {
+    return verify_share(msg, c.parsed[j].first, c.parsed[j].second);
+  };
+  return checked_.run(
+      n(), k(), shares, pool, [](const auto& share) { return share; },
+      [&](const Chosen& c) -> std::optional<CheckedSignature> {
+        try {
+          Bytes sig = combine(msg, c.parsed);
+          if (!verify(msg, sig)) return std::nullopt;
+          return CheckedSignature{std::move(sig), c.signers()};
+        } catch (const std::exception&) {
+          return std::nullopt;
         }
-      }
-    } else {
-      for (const auto& [idx, raw] : chosen) {
-        if (!verify_share(msg, idx, raw)) {
-          blacklist_.add(idx);
-          dropped.insert(idx);
+      },
+      [&](const Chosen& c) {
+        std::vector<std::size_t> bad;
+        for (std::size_t j = 0; j < c.size(); ++j) {
+          if (!share_ok(c, j)) bad.push_back(j);
         }
-      }
-    }
-    if (dropped.empty()) {
-      // Every chosen share verifies individually yet the combination fails
-      // its check — not attributable to a signer (e.g. inconsistent dealer
-      // data).  Give up instead of retrying the same set forever.
-      return std::nullopt;
-    }
-    std::erase_if(pool, [&dropped](const std::pair<int, Bytes>* s) {
-      return dropped.count(s->first) != 0;
-    });
-  }
-  return std::nullopt;
+        return bad;
+      },
+      share_ok);
 }
 
 RsaThresholdScheme::RsaThresholdScheme(

@@ -21,15 +21,13 @@
 #include <utility>
 #include <vector>
 
-#include "crypto/blacklist.hpp"
+#include "crypto/checked_combine.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/shamir.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
 namespace sintra::crypto {
-
-class WorkPool;
 
 /// Per-party handle to a threshold signature scheme.  Thread-compatible;
 /// each simulated party owns its own instance.
@@ -73,34 +71,24 @@ class ThresholdSigScheme {
     std::vector<int> used;
   };
 
-  /// Combine-first fast path: picks the first k plausible shares (in the
-  /// order given, skipping duplicates and locally blacklisted signers),
-  /// combines them *without* per-share verification, and verifies the one
-  /// assembled signature — k share verifications collapse into one cheap
-  /// public-exponent check when every submitter is honest.  If the check
-  /// fails, the fallback verifies the chosen shares individually,
-  /// blacklists the offenders on this handle (their later shares are
-  /// ignored), and retries with replacement shares.  Returns nullopt when
-  /// fewer than k shares from distinct non-blacklisted signers are
-  /// available — with n - t >= k honest parties, callers just wait for
-  /// more shares.  Thread-safe: may run on a crypto worker pool.  When a
-  /// threaded `pool` is given, the fallback verifies the chosen shares
-  /// via WorkPool::run_parallel — k verifications across cores instead of
-  /// a serial loop; the outcome (blacklist set, returned signature) is
-  /// identical either way, so a null/inline pool is never a semantic
-  /// change, only a slower fallback.
+  /// Combine-first fast path (crypto/checked_combine.hpp): combines the
+  /// first k plausible shares *unverified* and checks the one assembled
+  /// signature with verify() — k share verifications collapse into one
+  /// public-exponent check while every submitter is honest.  On failure,
+  /// verify_share() names the offenders.  Returns nullopt while fewer than
+  /// k usable shares are available.  Thread-safe.
   [[nodiscard]] std::optional<CheckedSignature> combine_checked(
       BytesView msg, const std::vector<std::pair<int, Bytes>>& shares,
       WorkPool* pool = nullptr) const;
 
   /// True if `signer` was caught submitting a bad share to this handle
-  /// (local knowledge only — see crypto/blacklist.hpp).
+  /// (local knowledge only — see crypto/checked_combine.hpp).
   [[nodiscard]] bool is_blacklisted(int signer) const {
-    return blacklist_.contains(signer);
+    return checked_.is_blacklisted(signer);
   }
 
  private:
-  mutable SignerBlacklist blacklist_;
+  mutable CheckedCombiner checked_{"threshold_sig"};
 };
 
 /// Public (dealer-published) data of the Shoup scheme.

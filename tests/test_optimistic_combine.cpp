@@ -7,17 +7,23 @@
 
 #include <map>
 #include <memory>
+#include <optional>
+#include <set>
+#include <string>
 #include <tuple>
 #include <vector>
 
 #include "core/agreement/binary_agreement.hpp"
 #include "crypto/coin.hpp"
+#include "crypto/cost.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/multi_sig.hpp"
 #include "crypto/tdh2.hpp"
 #include "crypto/threshold_sig.hpp"
+#include "crypto/work_pool.hpp"
 #include "obs/metrics.hpp"
 #include "sim_fixture.hpp"
+#include "util/hex.hpp"
 
 namespace sintra::crypto {
 namespace {
@@ -324,6 +330,253 @@ TEST(OptimisticTdh2, MalformedCiphertextYieldsNulloptNotThrow) {
       fx.parties[0]->combine_checked(to_bytes("not a ciphertext"), {})
           .has_value());
 }
+
+// --- pinned outcomes across every scheme ---
+//
+// One table of exact outcomes for the three combine-first paths, recorded
+// from the per-scheme implementations they replaced: the signers used, the
+// blacklist, a digest of the output and the counter deltas, for honest
+// shares, one bad share, and t bad shares at n=16 (signer 8's share is
+// unparseable bytes) that force several retries.  Each case runs on an
+// inline pool and on a 2-thread pool; both must reach the same outcome.
+// The inline run also pins the work units, which drive simulated time.
+
+enum class Scheme { kShoup, kMulti, kCoin, kTdh2 };
+enum class Case { kHonest, kOneBad, kTBad };
+
+struct Outcome {
+  std::vector<int> used;  // not observable for TDH2, left empty there
+  std::vector<int> blacklisted;
+  std::string digest;     // first 8 bytes of SHA-256(output), hex
+  std::uint64_t hits = 0;
+  std::uint64_t fallbacks = 0;
+  std::uint64_t parallel_shares = 0;
+  std::uint64_t work = 0;  // inline pool only
+};
+
+struct CaseShape {
+  int n, k;
+  std::set<int> bad;
+};
+
+CaseShape shape(Case c) {
+  switch (c) {
+    case Case::kHonest: return {4, 3, {}};
+    case Case::kOneBad: return {4, 3, {0}};
+    case Case::kTBad: return {16, 6, {0, 3, 6, 7, 8}};
+  }
+  return {};
+}
+
+constexpr int kGarbageSigner = 8;
+
+std::string digest8(const Bytes& out) {
+  const Bytes d = hash_bytes(HashKind::kSha256, out);
+  return hex_encode(BytesView(d.data(), 8));
+}
+
+// Measures one checked combine: counter deltas for `op` and, on the
+// calling thread, the work it performed from a fresh cache epoch.
+template <typename Fn>
+void measure(const char* op, Outcome& o, Fn&& fn) {
+  const auto hits0 = op_counter("crypto.optimistic_hits", op);
+  const auto falls0 = op_counter("crypto.fallbacks", op);
+  const auto par0 = op_counter("crypto.parallel_verify_shares", op);
+  bump_cache_epoch();
+  const WorkMeter meter;
+  fn();
+  o.work = meter.elapsed();
+  o.hits = op_counter("crypto.optimistic_hits", op) - hits0;
+  o.fallbacks = op_counter("crypto.fallbacks", op) - falls0;
+  o.parallel_shares =
+      op_counter("crypto.parallel_verify_shares", op) - par0;
+}
+
+template <typename Handle>
+std::vector<int> blacklist_of(const Handle& h, int n) {
+  std::vector<int> out;
+  for (int i = 0; i < n; ++i) {
+    if (h.is_blacklisted(i)) out.push_back(i);
+  }
+  return out;
+}
+
+Outcome run_sig(Scheme scheme, Case c, WorkPool* pool) {
+  const CaseShape cs = shape(c);
+  SigFixture fx = scheme == Scheme::kShoup ? make_shoup(cs.n, cs.k)
+                                           : make_multi(cs.n, cs.k);
+  const Bytes msg = to_bytes("pin.sig");
+  std::vector<std::pair<int, Bytes>> shares;
+  for (int i = 0; i < cs.n; ++i) {
+    auto& p = *fx.parties[static_cast<std::size_t>(i)];
+    if (cs.bad.count(i) == 0) {
+      shares.emplace_back(i, p.sign_share(msg));
+    } else if (i == kGarbageSigner) {
+      shares.emplace_back(i, to_bytes("garbage"));
+    } else {
+      shares.emplace_back(i, p.sign_share(to_bytes("pin.other")));
+    }
+  }
+  const auto& combiner = *fx.parties[static_cast<std::size_t>(cs.n - 1)];
+  Outcome o;
+  std::optional<ThresholdSigScheme::CheckedSignature> out;
+  measure("threshold_sig", o,
+          [&] { out = combiner.combine_checked(msg, shares, pool); });
+  EXPECT_TRUE(out.has_value());
+  if (out) {
+    EXPECT_TRUE(combiner.verify(msg, out->sig));
+    o.used = out->used;
+    o.digest = digest8(out->sig);
+  }
+  o.blacklisted = blacklist_of(combiner, cs.n);
+  return o;
+}
+
+Outcome run_coin(Case c, WorkPool* pool) {
+  const CaseShape cs = shape(c);
+  CoinFixture fx = make_coin(cs.n, cs.k);
+  const Bytes name = to_bytes("pin.coin");
+  std::vector<std::pair<int, Bytes>> shares;
+  for (int i = 0; i < cs.n; ++i) {
+    auto& p = *fx.parties[static_cast<std::size_t>(i)];
+    if (cs.bad.count(i) == 0) {
+      shares.emplace_back(i, p.release(name));
+    } else if (i == kGarbageSigner) {
+      shares.emplace_back(i, to_bytes("garbage"));
+    } else {
+      shares.emplace_back(i, p.release(to_bytes("pin.other")));
+    }
+  }
+  const auto& assembler = *fx.parties[static_cast<std::size_t>(cs.n - 1)];
+  Outcome o;
+  std::optional<ThresholdCoin::AssembledCoin> out;
+  measure("coin", o,
+          [&] { out = assembler.assemble_checked(name, shares, 16, pool); });
+  EXPECT_TRUE(out.has_value());
+  if (out) {
+    for (const auto& [idx, raw] : out->used) o.used.push_back(idx);
+    o.digest = digest8(out->value);
+  }
+  o.blacklisted = blacklist_of(assembler, cs.n);
+  return o;
+}
+
+Outcome run_tdh2(Case c, WorkPool* pool) {
+  const CaseShape cs = shape(c);
+  Tdh2Fixture fx = make_tdh2(cs.n, cs.k);
+  Rng rng(0x0c9142);
+  const Bytes msg = to_bytes("pinned plaintext");
+  const Bytes ct = fx.parties[0]->pub().encrypt(msg, to_bytes("label"), rng);
+  const Bytes decoy =
+      fx.parties[0]->pub().encrypt(to_bytes("noise"), to_bytes("label"), rng);
+  std::vector<std::pair<int, Bytes>> shares;
+  for (int i = 0; i < cs.n; ++i) {
+    auto& p = *fx.parties[static_cast<std::size_t>(i)];
+    if (i == kGarbageSigner && cs.bad.count(i) != 0) {
+      shares.emplace_back(i, to_bytes("garbage"));
+      continue;
+    }
+    auto s = p.decrypt_share(cs.bad.count(i) == 0 ? ct : decoy);
+    EXPECT_TRUE(s.has_value());
+    shares.emplace_back(i, s.value_or(Bytes{}));
+  }
+  const auto& combiner = *fx.parties[static_cast<std::size_t>(cs.n - 1)];
+  Outcome o;
+  std::optional<Bytes> out;
+  measure("tdh2", o,
+          [&] { out = combiner.combine_checked(ct, shares, pool); });
+  EXPECT_TRUE(out.has_value());
+  if (out) {
+    EXPECT_EQ(*out, msg);
+    o.digest = digest8(*out);
+  }
+  o.blacklisted = blacklist_of(combiner, cs.n);
+  return o;
+}
+
+struct Pin {
+  std::vector<int> used;
+  std::vector<int> blacklisted;
+  const char* digest;
+  std::uint64_t hits, fallbacks, work;
+};
+
+const Pin& pin(Scheme s, Case c) {
+  // Robust schemes: a Shoup signature, a coin value and a plaintext do not
+  // depend on which k shares went in, so only the multi-signature's digest
+  // changes with the signer set.
+  const char* const shoup = "b38a309001d1492d";
+  const char* const coin = "4aeb980ce88ceb17";
+  const char* const plain = "9a8e75d7ffab940d";
+  const std::vector<int> n4{0, 1, 2};
+  const std::vector<int> n4_bad{1, 2, 3};
+  const std::vector<int> n16_bad{1, 2, 4, 5, 9, 10};
+  const std::vector<int> t_bad{0, 3, 6, 7, 8};
+  using S = Scheme;
+  static const std::map<std::pair<Scheme, Case>, Pin> pins{
+      {{S::kShoup, Case::kHonest}, {n4, {}, shoup, 1, 0, 25088}},
+      {{S::kShoup, Case::kOneBad}, {n4_bad, {0}, shoup, 0, 1, 3409920}},
+      {{S::kShoup, Case::kTBad}, {n16_bad, t_bad, shoup, 0, 3, 11598336}},
+      {{S::kMulti, Case::kHonest}, {n4, {}, "64ebf9bc3b78eb04", 1, 0, 15360}},
+      {{S::kMulti, Case::kOneBad},
+       {n4_bad, {0}, "a14f9aff1df1398c", 0, 1, 35840}},
+      {{S::kMulti, Case::kTBad},
+       {n16_bad, t_bad, "6c825db745fe0548", 0, 3, 168960}},
+      {{S::kCoin, Case::kHonest}, {n4, {}, coin, 1, 0, 100352}},
+      {{S::kCoin, Case::kOneBad}, {n4_bad, {0}, coin, 0, 1, 276288}},
+      {{S::kCoin, Case::kTBad}, {n16_bad, t_bad, coin, 0, 2, 1005312}},
+      {{S::kTdh2, Case::kHonest}, {{}, {}, plain, 1, 0, 189824}},
+      {{S::kTdh2, Case::kOneBad}, {{}, {0}, plain, 0, 1, 348992}},
+      {{S::kTdh2, Case::kTBad}, {{}, t_bad, plain, 0, 2, 1153344}},
+  };
+  return pins.at({s, c});
+}
+
+using PinParam = std::tuple<Scheme, Case, bool>;  // bool: 2-thread pool
+
+class OptimisticPinned : public ::testing::TestWithParam<PinParam> {};
+
+TEST_P(OptimisticPinned, MatchesRecordedOutcome) {
+  const auto [scheme, c, threaded] = GetParam();
+  WorkPool pool(threaded ? 2 : 0);
+  Outcome o;
+  switch (scheme) {
+    case Scheme::kShoup:
+    case Scheme::kMulti: o = run_sig(scheme, c, &pool); break;
+    case Scheme::kCoin: o = run_coin(c, &pool); break;
+    case Scheme::kTdh2: o = run_tdh2(c, &pool); break;
+  }
+  const Pin& p = pin(scheme, c);
+  EXPECT_EQ(o.used, p.used);
+  EXPECT_EQ(o.blacklisted, p.blacklisted);
+  EXPECT_EQ(o.digest, p.digest);
+  EXPECT_EQ(o.hits, p.hits);
+  EXPECT_EQ(o.fallbacks, p.fallbacks);
+  // A threaded fallback fans the k chosen shares of every failed attempt
+  // out across the pool; an inline one never does.
+  const auto k = static_cast<std::uint64_t>(shape(c).k);
+  EXPECT_EQ(o.parallel_shares, threaded ? p.fallbacks * k : 0);
+  if (!threaded) {
+    EXPECT_EQ(o.work, p.work);
+  }
+}
+
+std::string pin_name(const ::testing::TestParamInfo<PinParam>& info) {
+  static const char* const kSchemes[] = {"Shoup", "Multi", "Coin", "Tdh2"};
+  static const char* const kCases[] = {"Honest", "OneBad", "TBadN16"};
+  const auto [s, c, threaded] = info.param;
+  return std::string(kSchemes[static_cast<int>(s)]) +
+         kCases[static_cast<int>(c)] + (threaded ? "Threaded" : "Inline");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllSchemes, OptimisticPinned,
+    ::testing::Combine(::testing::Values(Scheme::kShoup, Scheme::kMulti,
+                                         Scheme::kCoin, Scheme::kTdh2),
+                       ::testing::Values(Case::kHonest, Case::kOneBad,
+                                         Case::kTBad),
+                       ::testing::Bool()),
+    pin_name);
 
 }  // namespace
 }  // namespace sintra::crypto
