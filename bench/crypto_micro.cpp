@@ -130,9 +130,11 @@ void BM_RsaVerify(benchmark::State& state) {
   Fixture& fx =
       fixture(static_cast<int>(state.range(0)), crypto::SigImpl::kMultiSig);
   const Bytes sig = fx.deal.parties[0].sign(fx.msg);
+  // The plain check: PartyKeys::verify_party_sig would answer every
+  // repeat from the party's verification memo.
+  const crypto::RsaPublicKey& pub = fx.deal.parties[0].own_rsa->pub;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        fx.deal.parties[1].verify_party_sig(0, fx.msg, sig));
+    benchmark::DoNotOptimize(crypto::rsa_verify(pub, fx.msg, sig));
   }
 }
 BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024);

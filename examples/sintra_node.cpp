@@ -94,6 +94,9 @@ struct Args {
   int crypto_threads = -1;      // -1 = hardware_concurrency; 0 = inline
   bool use_mmsg = true;         // --no-mmsg: one syscall per datagram
   bool corrupt_shares = false;  // Byzantine chaos: emit garbage sig shares
+  // Fault injection: SIGKILL this process once this many deliveries are
+  // durable in the --state-dir log; 0 = off.
+  std::uint64_t crash_after_records = 0;
   int client_port = 0;          // UDP port for signed client requests; 0 = none
 };
 
@@ -137,6 +140,11 @@ Args parse_args(int argc, char** argv) {
       a.corrupt_shares = true;
     } else if (arg == "--state-dir") {
       a.replica.state_dir = value();
+    } else if (arg == "--crash-after-records") {
+      a.crash_after_records = std::stoull(value());
+      if (a.crash_after_records == 0) {
+        throw std::runtime_error("--crash-after-records wants >= 1");
+      }
     } else if (arg == "--checkpoint-interval") {
       a.replica.checkpoint_interval = std::stoull(value());
       if (a.replica.checkpoint_interval == 0) {
@@ -197,6 +205,9 @@ Args parse_args(int argc, char** argv) {
     } else {
       throw std::runtime_error("unknown option " + arg);
     }
+  }
+  if (a.crash_after_records > 0 && a.replica.state_dir.empty()) {
+    throw std::runtime_error("--crash-after-records needs --state-dir");
   }
   return a;
 }
@@ -296,6 +307,13 @@ class NodeApp {
         *env_, env_->dispatcher(), args.replica);
     replica_->set_execute_callback([this](const Bytes& payload) {
       std::fprintf(out_, "DELIVER %s\n", to_string(payload).c_str());
+      // The record executed here is already fsync'd (Replica logs before
+      // it executes), so the kill lands at an exact durable point.
+      if (args_.crash_after_records > 0 &&
+          replica_->recovery()->delivered_seq() >=
+              args_.crash_after_records) {
+        std::raise(SIGKILL);
+      }
     });
     replica_->set_complete_callback([this] { finish(); });
 
@@ -471,6 +489,7 @@ int main(int argc, char** argv) {
                  "[--stats] [--metrics-out FILE] [--trace-out FILE] "
                  "[--via host:base_port] [--crypto-threads N] "
                  "[--no-mmsg] [--corrupt-shares] [--state-dir DIR] "
+                 "[--crash-after-records N] "
                  "[--checkpoint-interval K] [--batch-count N] "
                  "[--batch-bytes N] [--pipeline-depth W] "
                  "[--bench-load MxB] [--client-port P] "

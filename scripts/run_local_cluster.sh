@@ -28,8 +28,9 @@
 #   chaos    all traffic through udp_chaos_proxy (loss/dup/reorder); the
 #            link layer must heal it, and retransmissions + adaptive-RTO
 #            backoff must be visible in the link stats
-#   recover  every node runs with a durable --state-dir; node 3 is
-#            SIGKILLed mid-run and restarted with the same state dir —
+#   recover  every node runs with a durable --state-dir; node 3 SIGKILLs
+#            itself at its first durable delivery (--crash-after-records
+#            1) and is restarted with the same state dir —
 #            it must replay its fsync'd log, catch up via a
 #            threshold-signed checkpoint certificate, and finish with
 #            the identical delivery sequence as the nodes that never
@@ -254,6 +255,9 @@ launch_node() {
   fi
   if [[ "$scenario" == recover ]]; then
     extra+=(--state-dir "$workdir/state.$i" --checkpoint-interval 4)
+    if [[ $i -eq $last && -z "${restarted:-}" ]]; then
+      extra+=(--crash-after-records 1)
+    fi
   fi
   if [[ "$scenario" == clients ]]; then
     extra+=(--client-port $(( client_base + i )))
@@ -281,27 +285,36 @@ if [[ "$scenario" == crash ]]; then
 fi
 
 if [[ "$scenario" == recover ]]; then
-  # Wait for the last node's first *durable* delivery — its replica log is
-  # fsync'd per record, so a nonempty log file is the earliest point
-  # where a SIGKILL leaves state worth recovering.  Killing at the first
-  # record (of n * send_count total) guarantees the restart replays a
-  # partial log and must use catch-up, not a persisted final cert.
-  while ! compgen -G "$workdir/state.$last/*.log" > /dev/null \
-        || [[ ! -s $(compgen -G "$workdir/state.$last/*.log" | head -1) ]]; do
-    if ! kill -0 "${pids[$last]}" 2>/dev/null; then
-      echo "FAIL: node $last died before its first durable delivery" >&2
+  # The last node SIGKILLs itself right after its first *durable*
+  # delivery — its replica log is fsync'd per record, so that is the
+  # earliest point where a kill leaves state worth recovering.  Killing
+  # at the first record (of n * send_count total) guarantees the restart
+  # replays a partial log and must use catch-up, not a persisted final
+  # cert.  The node does it itself, so the crash point is exact however
+  # fast the group runs.
+  crash_deadline=$(( $(date +%s) + ${SINTRA_CLUSTER_TIMEOUT:-420} ))
+  while kill -0 "${pids[$last]}" 2>/dev/null; do
+    if [[ -e "$workdir/out.$last.done" ]]; then
+      echo "FAIL: node $last completed before the crash point" >&2
+      exit 1
+    fi
+    if (( $(date +%s) > crash_deadline )); then
+      echo "FAIL: node $last never reached its first durable delivery" >&2
       cat "$workdir/stats.$last" >&2 || true
       exit 1
     fi
     sleep 0.05
   done
-  if [[ -e "$workdir/out.$last.done" ]]; then
-    echo "FAIL: node $last completed before the crash point (raise --send)" >&2
+  crash_status=0
+  wait "${pids[$last]}" 2>/dev/null || crash_status=$?
+  if (( crash_status != 128 + 9 )); then
+    echo "FAIL: node $last exited with status $crash_status, not by" \
+         "SIGKILL at its first durable delivery" >&2
+    cat "$workdir/stats.$last" >&2 || true
     exit 1
   fi
-  echo "== crashing node $last (SIGKILL) and restarting from $workdir/state.$last"
-  kill -9 "${pids[$last]}" 2>/dev/null || true
-  wait "${pids[$last]}" 2>/dev/null || true
+  echo "== node $last SIGKILLed itself; restarting from $workdir/state.$last"
+  restarted=1
   launch_node $last
 fi
 

@@ -28,10 +28,11 @@ if [[ "$sanitize" == "thread" ]]; then
   # Suites with real multi-threading: the worker pool itself, the epoll
   # event loop (cross-thread call_soon), the UDP transport, the threaded
   # combine-first fallback (crypto/checked_combine.hpp fanning share
-  # checks out through WorkPool::run_parallel), and the 4-process
+  # checks out through WorkPool::run_parallel), the per-party
+  # verified-signature memo that those workers share, and the 4-process
   # loopback clusters that run node binaries with the pool on.
   filter='WorkPool|EventLoop|UdpSocket|NetEnvironment|SlidingWindow'
-  filter+='|Optimistic|ScaleParams.ByzantineShareParallelFallback'
+  filter+='|Optimistic|ScaleParams.ByzantineShareParallelFallback|VerifyMemo'
   filter+='|LocalCluster'
   export TSAN_OPTIONS="${TSAN_OPTIONS:-halt_on_error=1:second_deadlock_stack=1}"
 else
@@ -44,7 +45,7 @@ else
   # sliding-window link, 4-process clusters).
   filter='BigInt|BignumDiff|KnuthD|Montgomery|MultiExp|FixedBase|GroupCache'
   filter+='|Karatsuba|Prime'
-  filter+='|Rsa|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
+  filter+='|Rsa|VerifyMemo|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
   filter+='|ThresholdSig|Coin|Tdh2|Optimistic|WorkPool'
   filter+='|Dealer|Hash|Sha|Aes'
   filter+='|EventLoop|UdpSocket|NetEnvironment|SlidingWindow|LocalCluster'

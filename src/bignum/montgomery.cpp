@@ -12,6 +12,7 @@ thread_local std::uint64_t g_work = 0;
 
 std::uint64_t work_counter() noexcept { return g_work; }
 void reset_work_counter() noexcept { g_work = 0; }
+void charge_work(std::uint64_t units) noexcept { g_work += units; }
 
 namespace {
 using Limb = std::uint64_t;

@@ -49,6 +49,10 @@ inline constexpr std::uint64_t kLimbWorkScale = 4;
 
 std::uint64_t work_counter() noexcept;
 void reset_work_counter() noexcept;
+/// Adds `units` to this thread's counter without doing the arithmetic:
+/// a memoized result (crypto/verify_memo.hpp) charges what computing it
+/// measured, so virtual time does not depend on what a cache remembers.
+void charge_work(std::uint64_t units) noexcept;
 
 /// Hard cap on modulus width: fixed-capacity scratch in the Montgomery
 /// context is sized for 4096-bit moduli (64 limbs), so the hot path never

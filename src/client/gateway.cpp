@@ -157,7 +157,7 @@ void ClientGateway::on_request_datagram(BytesView datagram,
     reject(*id, cs, req->seq, Status::kStale);
     return;
   }
-  if (cs.pending > 0) {
+  if (!cs.pending.empty()) {
     // The previous request from this client is still in flight here;
     // a well-behaved client has exactly one outstanding request, so
     // this is an RTO retransmit racing the broadcast.  Dropping it is
@@ -196,9 +196,19 @@ void ClientGateway::on_request_datagram(BytesView datagram,
     reject(*id, cs, req->seq, Status::kOverloaded);
     return;
   }
+  admit(cs, req->seq);
+}
+
+void ClientGateway::admit(ClientState& cs, std::uint64_t seq) {
   admitted_.inc();
-  ++cs.pending;
+  cs.pending.insert(seq);
   ++pending_total_;
+  set_pending_gauge();
+}
+
+void ClientGateway::release(ClientState& cs, std::uint64_t seq) {
+  if (cs.pending.erase(seq) == 0) return;
+  --pending_total_;
   set_pending_gauge();
 }
 
@@ -215,11 +225,7 @@ void ClientGateway::submit_local(Bytes payload) {
     --local_seq_;
     return;  // channel closed; nothing more to do for local traffic
   }
-  admitted_.inc();
-  ClientState& cs = state(w.client_id);
-  ++cs.pending;
-  ++pending_total_;
-  set_pending_gauge();
+  admit(state(w.client_id), w.seq);
 }
 
 void ClientGateway::drain_local_queue() {
@@ -234,12 +240,8 @@ void ClientGateway::drain_local_queue() {
       --local_seq_;
       return;
     }
-    admitted_.inc();
-    ClientState& cs = state(w.client_id);
-    ++cs.pending;
-    ++pending_total_;
+    admit(state(w.client_id), w.seq);
   }
-  set_pending_gauge();
 }
 
 std::optional<ClientGateway::Executed>
@@ -279,17 +281,10 @@ ClientGateway::on_delivered(BytesView channel_payload) {
   }
 
   ClientState& cs = state(w->client_id);
-  const bool mine = cs.pending > 0;
   if (already_executed(cs, w->seq)) {
     // Another replica's proposal of the same request reached the order
     // first; this duplicate is skipped identically on every replica.
     dup_deliveries_.inc();
-    if (mine) {
-      --cs.pending;
-      --pending_total_;
-      set_pending_gauge();
-      drain_local_queue();
-    }
     return std::nullopt;
   }
   mark_executed(cs, w->seq);
@@ -301,11 +296,7 @@ ClientGateway::on_delivered(BytesView channel_payload) {
   ex.global_seq = next_global_++;
   ex.payload = w->payload;
   executed_.inc();
-  if (mine) {
-    --cs.pending;
-    --pending_total_;
-    set_pending_gauge();
-  }
+  release(cs, w->seq);
 
   if (!local) {
     // Every replica that knows the client's address replies — including

@@ -147,7 +147,10 @@ class ClientGateway {
     // different replicas propose different seqs of the same client).
     std::uint64_t floor = 0;  // seqs start at 1; 0 = none executed
     std::set<std::uint64_t> executed_above;
-    std::size_t pending = 0;  // proposed-not-yet-executed (here)
+    // Seqs this replica proposed that have not executed yet.  Released
+    // by seq, so a late duplicate of an older request cannot free the
+    // slot of the one in flight.
+    std::set<std::uint64_t> pending;
     // Recent wire-ready replies, newest last, for retransmit hits.
     std::deque<std::pair<std::uint64_t, Bytes>> replies;
   };
@@ -159,6 +162,8 @@ class ClientGateway {
                   const ReplyFrame& frame);
   void reject(std::uint32_t client_id, ClientState& cs, std::uint64_t seq,
               Status status);
+  void admit(ClientState& cs, std::uint64_t seq);
+  void release(ClientState& cs, std::uint64_t seq);
   void drain_local_queue();
   void set_pending_gauge();
 

@@ -53,12 +53,12 @@ void ReplicatedServiceClient::start_next() {
 }
 
 void ReplicatedServiceClient::arm_timer(double delay_ms) {
-  const std::uint64_t gen = ++pending_.timer_gen;
+  const std::uint64_t gen = ++timer_gen_;
   hooks_.call_later(delay_ms, [this, gen] { on_timeout(gen); });
 }
 
 void ReplicatedServiceClient::on_timeout(std::uint64_t gen) {
-  if (!active_ || gen != pending_.timer_gen) return;  // stale timer
+  if (!active_ || gen != timer_gen_) return;  // stale timer
   if (pending_.attempts >= opts_.max_attempts) {
     Outcome out;
     out.seq = pending_.seq;
@@ -139,7 +139,7 @@ void ReplicatedServiceClient::on_datagram(BytesView datagram) {
 }
 
 void ReplicatedServiceClient::finish(Outcome outcome) {
-  ++pending_.timer_gen;  // disarm any in-flight timer
+  ++timer_gen_;  // disarm any in-flight timer
   active_ = false;
   DoneFn done = std::move(pending_.done);
   pending_.votes.clear();

@@ -86,7 +86,6 @@ class ReplicatedServiceClient {
     double started_ms = 0;
     double rto_ms = 0;
     int attempts = 0;
-    std::uint64_t timer_gen = 0;  // invalidates stale timer callbacks
     // Vote key (status, global_seq, result) -> replicas that sent it.
     std::map<std::tuple<std::uint8_t, std::uint64_t, Bytes>,
              std::set<std::uint32_t>> votes;
@@ -103,6 +102,9 @@ class ReplicatedServiceClient {
   std::deque<std::pair<Bytes, DoneFn>> queue_;
   bool active_ = false;
   Pending pending_;
+  // Client-wide, not per request: a timer armed for an answered request
+  // must stay stale after the next request starts.
+  std::uint64_t timer_gen_ = 0;
   std::uint64_t retransmits_ = 0;
 
   // Shared across all client instances in a process (the swarm runs

@@ -64,8 +64,8 @@ std::vector<RsaKeyPair> cached_party_rsa(int n, int bits, std::uint64_t seed) {
 
 bool PartyKeys::verify_party_sig(int j, BytesView msg, BytesView sig) const {
   if (j < 0 || j >= n) return false;
-  return rsa_verify(rsa_publics->keys[static_cast<std::size_t>(j)], msg, sig,
-                    hash);
+  return verify_memo->verify(j, rsa_publics->keys[static_cast<std::size_t>(j)],
+                             msg, sig, hash);
 }
 
 Bytes PartyKeys::sign(BytesView msg) const {
@@ -90,20 +90,20 @@ PartyKeys materialize(const RawPartyKeys& raw) {
     keys.sig_broadcast = std::make_shared<RsaThresholdScheme>(
         std::make_shared<const RsaThresholdPublic>(raw.threshold_broadcast->pub),
         raw.index, raw.threshold_broadcast->share,
-        0x7e51 + static_cast<std::uint64_t>(raw.index));
+        0x7e51 + static_cast<std::uint64_t>(raw.index), keys.verify_memo);
     keys.sig_agreement = std::make_shared<RsaThresholdScheme>(
         std::make_shared<const RsaThresholdPublic>(raw.threshold_agreement->pub),
         raw.index, raw.threshold_agreement->share,
-        0x7e52 + static_cast<std::uint64_t>(raw.index));
+        0x7e52 + static_cast<std::uint64_t>(raw.index), keys.verify_memo);
   } else {
     auto ms_broadcast = std::make_shared<const MultiSigPublic>(MultiSigPublic{
         raw.n, raw.k_broadcast, raw.all_rsa_publics, raw.hash});
     auto ms_agreement = std::make_shared<const MultiSigPublic>(MultiSigPublic{
         raw.n, raw.k_agreement, raw.all_rsa_publics, raw.hash});
     keys.sig_broadcast = std::make_shared<MultiSigScheme>(
-        std::move(ms_broadcast), raw.index, keys.own_rsa);
+        std::move(ms_broadcast), raw.index, keys.own_rsa, keys.verify_memo);
     keys.sig_agreement = std::make_shared<MultiSigScheme>(
-        std::move(ms_agreement), raw.index, keys.own_rsa);
+        std::move(ms_agreement), raw.index, keys.own_rsa, keys.verify_memo);
   }
 
   const DlogGroup group(raw.coin_p, raw.coin_q, raw.coin_g, raw.hash);

@@ -26,6 +26,7 @@
 #include "crypto/multi_sig.hpp"
 #include "crypto/tdh2.hpp"
 #include "crypto/threshold_sig.hpp"
+#include "crypto/verify_memo.hpp"
 
 namespace sintra::crypto {
 
@@ -56,6 +57,10 @@ struct PartyKeys {
 
   std::shared_ptr<const RsaKeyPair> own_rsa;
   std::shared_ptr<const MultiSigPublic> rsa_publics;  // all standard keys
+
+  /// This party's one memo of successful RSA-FDH checks, shared by
+  /// verify_party_sig and both signature schemes (crypto/verify_memo.hpp).
+  std::shared_ptr<VerifyMemo> verify_memo = std::make_shared<VerifyMemo>();
 
   std::shared_ptr<ThresholdSigScheme> sig_broadcast;  // k = ceil((n+t+1)/2)
   std::shared_ptr<ThresholdSigScheme> sig_agreement;  // k = n - t

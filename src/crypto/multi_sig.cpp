@@ -10,8 +10,12 @@ namespace sintra::crypto {
 
 MultiSigScheme::MultiSigScheme(std::shared_ptr<const MultiSigPublic> pub,
                                int index,
-                               std::shared_ptr<const RsaKeyPair> own_key)
-    : pub_(std::move(pub)), index_(index), own_key_(std::move(own_key)) {}
+                               std::shared_ptr<const RsaKeyPair> own_key,
+                               std::shared_ptr<VerifyMemo> memo)
+    : pub_(std::move(pub)),
+      index_(index),
+      own_key_(std::move(own_key)),
+      memo_(memo ? std::move(memo) : std::make_shared<VerifyMemo>()) {}
 
 Bytes MultiSigScheme::sign_share(BytesView msg) {
   if (own_key_ == nullptr)
@@ -24,8 +28,8 @@ bool MultiSigScheme::verify_share(BytesView msg, int signer,
                                   BytesView share) const {
   if (signer < 0 || signer >= pub_->n) return false;
   const OpScope ops("multi_sig.verify_share");
-  return rsa_verify(pub_->keys[static_cast<std::size_t>(signer)], msg, share,
-                    pub_->hash);
+  return memo_->verify(signer, pub_->keys[static_cast<std::size_t>(signer)],
+                       msg, share, pub_->hash);
 }
 
 Bytes MultiSigScheme::combine(
@@ -59,8 +63,8 @@ bool MultiSigScheme::verify(BytesView msg, BytesView sig) const {
       const int idx = static_cast<int>(r.u32());
       const Bytes s = r.bytes();
       if (idx < 0 || idx >= pub_->n || !seen.insert(idx).second) return false;
-      if (!rsa_verify(pub_->keys[static_cast<std::size_t>(idx)], msg, s,
-                      pub_->hash)) {
+      if (!memo_->verify(idx, pub_->keys[static_cast<std::size_t>(idx)], msg,
+                         s, pub_->hash)) {
         return false;
       }
     }

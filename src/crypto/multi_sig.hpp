@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "crypto/threshold_sig.hpp"
+#include "crypto/verify_memo.hpp"
 
 namespace sintra::crypto {
 
@@ -26,10 +27,12 @@ struct MultiSigPublic {
 
 class MultiSigScheme final : public ThresholdSigScheme {
  public:
-  /// `own_key` is this party's standard RSA key pair (empty optional for a
-  /// verify-only handle).
+  /// `own_key` is this party's standard RSA key pair (null for a
+  /// verify-only handle).  `memo` is the party's verification memo
+  /// (crypto/verify_memo.hpp); a handle built without one gets its own.
   MultiSigScheme(std::shared_ptr<const MultiSigPublic> pub, int index,
-                 std::shared_ptr<const RsaKeyPair> own_key);
+                 std::shared_ptr<const RsaKeyPair> own_key,
+                 std::shared_ptr<VerifyMemo> memo = nullptr);
 
   [[nodiscard]] int n() const override { return pub_->n; }
   [[nodiscard]] int k() const override { return pub_->k; }
@@ -47,6 +50,7 @@ class MultiSigScheme final : public ThresholdSigScheme {
   std::shared_ptr<const MultiSigPublic> pub_;
   int index_;
   std::shared_ptr<const RsaKeyPair> own_key_;
+  std::shared_ptr<VerifyMemo> memo_;
 };
 
 }  // namespace sintra::crypto

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "crypto/md_absorb.hpp"
+
 namespace sintra::crypto {
 
 namespace {
@@ -13,13 +15,9 @@ Sha1::Sha1() : h_{0x67452301u, 0xEFCDAB89u, 0x98BADCFEu, 0x10325476u, 0xC3D2E1F0
 Sha1& Sha1::update(BytesView data) {
   if (finalized_) throw std::logic_error("Sha1: update after digest");
   total_len_ += data.size();
-  for (std::uint8_t b : data) {
-    buffer_[buffer_len_++] = b;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
+  absorb_blocks(buffer_, buffer_len_, data, [this](const std::uint8_t* block) {
+    process_block(block);
+  });
   return *this;
 }
 
@@ -63,28 +61,21 @@ void Sha1::process_block(const std::uint8_t* block) {
     w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
   }
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  for (int i = 0; i < 80; ++i) {
-    std::uint32_t f, k;
-    if (i < 20) {
-      f = (b & c) | (~b & d);
-      k = 0x5A827999u;
-    } else if (i < 40) {
-      f = b ^ c ^ d;
-      k = 0x6ED9EBA1u;
-    } else if (i < 60) {
-      f = (b & c) | (b & d) | (c & d);
-      k = 0x8F1BBCDCu;
-    } else {
-      f = b ^ c ^ d;
-      k = 0xCA62C1D6u;
-    }
-    const std::uint32_t temp = rotl(a, 5) + f + e + k + w[i];
+  // Four branch-free 20-round stages, one per round function.
+  const auto step = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
+    const std::uint32_t temp = rotl(a, 5) + f + e + k + wi;
     e = d;
     d = c;
     c = rotl(b, 30);
     b = a;
     a = temp;
+  };
+  for (int i = 0; i < 20; ++i) step((b & c) | (~b & d), 0x5A827999u, w[i]);
+  for (int i = 20; i < 40; ++i) step(b ^ c ^ d, 0x6ED9EBA1u, w[i]);
+  for (int i = 40; i < 60; ++i) {
+    step((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, w[i]);
   }
+  for (int i = 60; i < 80; ++i) step(b ^ c ^ d, 0xCA62C1D6u, w[i]);
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;

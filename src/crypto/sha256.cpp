@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "crypto/md_absorb.hpp"
 #include "crypto/sha1.hpp"
 
 namespace sintra::crypto {
@@ -32,13 +33,9 @@ Sha256::Sha256()
 Sha256& Sha256::update(BytesView data) {
   if (finalized_) throw std::logic_error("Sha256: update after digest");
   total_len_ += data.size();
-  for (std::uint8_t b : data) {
-    buffer_[buffer_len_++] = b;
-    if (buffer_len_ == kBlockSize) {
-      process_block(buffer_.data());
-      buffer_len_ = 0;
-    }
-  }
+  absorb_blocks(buffer_, buffer_len_, data, [this](const std::uint8_t* block) {
+    process_block(block);
+  });
   return *this;
 }
 

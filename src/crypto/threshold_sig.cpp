@@ -173,11 +173,12 @@ ThresholdSigScheme::combine_checked(
 
 RsaThresholdScheme::RsaThresholdScheme(
     std::shared_ptr<const RsaThresholdPublic> pub, int index, BigInt share,
-    std::uint64_t prover_seed)
+    std::uint64_t prover_seed, std::shared_ptr<VerifyMemo> memo)
     : pub_(std::move(pub)),
       index_(index),
       share_(std::move(share)),
       prover_rng_(prover_seed),
+      memo_(memo ? std::move(memo) : std::make_shared<VerifyMemo>()),
       fast_(std::make_unique<FastPath>()) {}
 
 RsaThresholdScheme::~RsaThresholdScheme() = default;
@@ -318,7 +319,7 @@ Bytes RsaThresholdScheme::combine(
 
 bool RsaThresholdScheme::verify(BytesView msg, BytesView sig) const {
   const RsaPublicKey key{pub_->modulus, pub_->e};
-  return rsa_verify(key, msg, sig, pub_->hash);
+  return memo_->verify(VerifyMemo::kGroupKey, key, msg, sig, pub_->hash);
 }
 
 std::unique_ptr<RsaThresholdScheme> RsaThresholdDeal::make_party(int i) const {

@@ -24,6 +24,7 @@
 #include "crypto/checked_combine.hpp"
 #include "crypto/rsa.hpp"
 #include "crypto/shamir.hpp"
+#include "crypto/verify_memo.hpp"
 #include "util/bytes.hpp"
 #include "util/rng.hpp"
 
@@ -106,9 +107,12 @@ struct RsaThresholdPublic {
 class RsaThresholdScheme final : public ThresholdSigScheme {
  public:
   /// `share` is s_i; pass index = -1 and share = 0 for a verify/combine-only
-  /// handle (e.g. an external client).
+  /// handle (e.g. an external client).  `memo` is the party's verification
+  /// memo for verify() (crypto/verify_memo.hpp); a handle built without one
+  /// gets its own.
   RsaThresholdScheme(std::shared_ptr<const RsaThresholdPublic> pub, int index,
-                     BigInt share, std::uint64_t prover_seed);
+                     BigInt share, std::uint64_t prover_seed,
+                     std::shared_ptr<VerifyMemo> memo = nullptr);
   ~RsaThresholdScheme() override;
 
   [[nodiscard]] int n() const override { return pub_->n; }
@@ -130,6 +134,7 @@ class RsaThresholdScheme final : public ThresholdSigScheme {
   int index_;
   BigInt share_;
   Rng prover_rng_;
+  std::shared_ptr<VerifyMemo> memo_;
   // Epoch-stamped precomputation: persistent Montgomery context plus comb
   // tables for v and the per-signer inverse verification keys.  Builds
   // are charged to the work counter when they happen (see crypto/cost.hpp).

@@ -15,6 +15,9 @@ inline crypto::Deal cached_deal(int n, int t,
                                 crypto::SigImpl impl = crypto::SigImpl::kMultiSig) {
   // Deals are deterministic; the dealer memoizes the expensive parameters,
   // but we also memoize whole deals per (n, t, impl) to keep test setup fast.
+  // Only the dealt key material is shared: every call materializes fresh
+  // PartyKeys, so per-handle state (signer blacklists, prover RNGs, the
+  // verification memo) never leaks from one test's cluster into the next.
   static std::map<std::tuple<int, int, int>, crypto::Deal> cache;
   const auto key = std::tuple{n, t, static_cast<int>(impl)};
   auto it = cache.find(key);
@@ -28,7 +31,12 @@ inline crypto::Deal cached_deal(int n, int t,
     cfg.sig_impl = impl;
     it = cache.emplace(key, crypto::run_dealer(cfg)).first;
   }
-  return it->second;
+  crypto::Deal deal = it->second;
+  deal.parties.clear();
+  for (const auto& raw : deal.raw) {
+    deal.parties.push_back(crypto::materialize(raw));
+  }
+  return deal;
 }
 
 /// n parties on a uniform low-latency network; the workhorse for protocol

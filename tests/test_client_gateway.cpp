@@ -336,6 +336,79 @@ TEST(ClientGateway, LocalQueueDrainsAsWindowFrees) {
   EXPECT_EQ(h.gw->executed_count(), 5u);
 }
 
+TEST(ClientGateway, LateOwnDuplicateKeepsTheNextRequestPending) {
+  GatewayHarness h;
+  obs::Counter& dedup =
+      obs::registry().counter("client.dedup_hits", obs::party_labels(0));
+  h.gw->on_request_datagram(h.request(7, 1, "a"), "c7");
+  ASSERT_EQ(h.submitted.size(), 1u);
+  const Bytes own_s1 = h.submitted[0];
+  h.submitted.clear();
+  // Another replica's copy of s=1 is ordered first and executes it.
+  EXPECT_TRUE(h.gw->on_delivered(own_s1).has_value());
+  EXPECT_EQ(h.gw->pending_depth(), 0u);
+  h.gw->on_request_datagram(h.request(7, 2, "b"), "c7");
+  ASSERT_EQ(h.submitted.size(), 1u);
+  EXPECT_EQ(h.gw->pending_depth(), 1u);
+  // This replica's own late copy of s=1 must not free s=2's slot.
+  EXPECT_FALSE(h.gw->on_delivered(own_s1).has_value());
+  EXPECT_EQ(h.gw->pending_depth(), 1u);
+  // So a retransmit of s=2 is still the one in flight: a dedup hit, not
+  // a second proposal.
+  const std::uint64_t dedup_before = dedup.value();
+  h.gw->on_request_datagram(h.request(7, 2, "b"), "c7");
+  EXPECT_EQ(h.submitted.size(), 1u);
+  EXPECT_EQ(dedup.value(), dedup_before + 1);
+  h.deliver_submitted();
+  EXPECT_EQ(h.gw->pending_depth(), 0u);
+  EXPECT_EQ(h.gw->executed_count(), 2u);
+}
+
+TEST(ServiceClient, TimerOfAnsweredRequestDoesNotResendTheNext) {
+  // Hook-driven timers: nothing fires until the test says so.
+  std::vector<std::function<void()>> timers;
+  std::vector<Bytes> sent;
+  const KeyTable table = make_key_table(16, 3);
+  ReplicatedServiceClient::Options opts;
+  opts.client_id = 3;
+  opts.key = table.key(3);
+  ReplicatedServiceClient::Hooks hooks;
+  hooks.send = [&](int, const Bytes& d) { sent.push_back(d); };
+  hooks.call_later = [&](double, std::function<void()> fn) {
+    timers.push_back(std::move(fn));
+  };
+  hooks.now_ms = [] { return 0.0; };
+  ReplicatedServiceClient client(opts, hooks);
+
+  // Answers the current request with t+1 = 2 matching replies.
+  auto answer = [&](std::uint64_t seq) {
+    for (std::uint32_t replica = 0; replica < 2; ++replica) {
+      ReplyFrame r;
+      r.client_id = 3;
+      r.seq = seq;
+      r.replica = replica;
+      r.status = Status::kOk;
+      r.global_seq = seq;
+      r.result = to_bytes("ok");
+      client.on_datagram(encode_reply(r, opts.key));
+    }
+  };
+  int done = 0;
+  client.submit(to_bytes("a"), [&](auto out) { done += out.ok ? 1 : 0; });
+  client.submit(to_bytes("b"), [&](auto out) { done += out.ok ? 1 : 0; });
+  client.submit(to_bytes("c"), [&](auto out) { done += out.ok ? 1 : 0; });
+  answer(1);
+  answer(2);
+  ASSERT_EQ(done, 2);
+  const std::size_t sends = sent.size();
+  EXPECT_EQ(sends, 3u * 4u);  // one multicast per request, no re-sends
+  // Both answered requests' RTO timers fire while request 3 is pending.
+  const std::size_t armed = timers.size();
+  for (std::size_t i = 0; i + 1 < armed; ++i) timers[i]();
+  EXPECT_EQ(sent.size(), sends);
+  EXPECT_EQ(client.retransmits(), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // End-to-end in the simulator: four replica::Replica objects (the class
 // sintra_node runs) on an atomic channel, real quorum-collecting clients,

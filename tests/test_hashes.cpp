@@ -8,6 +8,26 @@
 namespace sintra::crypto {
 namespace {
 
+// Feeding a message in two pieces, split anywhere, must give the one-shot
+// digest: covers the partial-block top-up, full blocks hashed straight
+// from the input, and the buffered tail.
+template <typename Hash>
+void expect_split_feeds_match_one_shot() {
+  Bytes msg(300);
+  for (std::size_t i = 0; i < msg.size(); ++i) {
+    msg[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const BytesView whole(msg.data(), len);
+    const Bytes expect = Hash::hash(whole);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      Hash h;
+      h.update(whole.subspan(0, cut)).update(whole.subspan(cut));
+      ASSERT_EQ(h.digest(), expect) << "len " << len << " cut " << cut;
+    }
+  }
+}
+
 // --- SHA-1: FIPS 180-1 test vectors ---
 
 TEST(Sha1, EmptyString) {
@@ -91,6 +111,14 @@ TEST(Sha256, MillionAs) {
   for (int i = 0; i < 100; ++i) h.update(chunk);
   EXPECT_EQ(hex_encode(h.digest()),
             "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+}
+
+TEST(Sha1, SplitFeedMatchesOneShot) {
+  expect_split_feeds_match_one_shot<Sha1>();
+}
+
+TEST(Sha256, SplitFeedMatchesOneShot) {
+  expect_split_feeds_match_one_shot<Sha256>();
 }
 
 TEST(Sha256, DispatchHelpers) {
