@@ -14,25 +14,32 @@
 //                      scripts/bench_scale.sh, via the net.tx_syscalls /
 //                      net.rx_syscalls gauges.
 //
-//   --fallback-gate    The CI gate for this PR's crypto-layer tentpole:
-//                      at n=16 (k = n - t = 11, Shoup threshold RSA), one
-//                      Byzantine share forces the per-share verification
-//                      fallback, and the SAME workload is timed twice in
-//                      one process — serial (pool = nullptr, the pre-PR
-//                      path) and parallel (WorkPool::run_parallel across
-//                      hardware threads).  The blacklist and returned
-//                      signature are identical either way (see
-//                      threshold_sig.hpp), so the ratio isolates
-//                      wall-clock; scripts/bench_scale.sh enforces
-//                      speedup >= 2 when enough cores exist.
+//   --fallback-gate    The crypto-layer gate: at n=16 (k = n - t = 11,
+//                      Shoup threshold RSA) one Byzantine share forces
+//                      the per-share verification fallback, and the SAME
+//                      workload is timed serial (pool = nullptr) and
+//                      parallel (WorkPool::run_parallel) in one process:
+//                      --reps interleaved pairs of samples, each sample
+//                      four back-to-back fallbacks, each pair
+//                      preceded by a spin-kernel calibration of the
+//                      effective cores.  It fails unless every sample
+//                      took the path it claims (the
+//                      crypto.parallel_verify_shares counter) and the
+//                      signature and blacklist are identical either way;
+//                      scripts/bench_scale.sh turns the record into the
+//                      2x gate and its basis.
 //
 // Virtual deliveries/sec is deterministic per seed and deliberately does
 // NOT move with this PR: the optimizations cut wall-clock and syscalls,
 // not the simulated work model — which is exactly why the sweep reports
 // both clocks.
+#include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <optional>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -41,6 +48,7 @@
 #include "crypto/cost.hpp"
 #include "crypto/threshold_sig.hpp"
 #include "crypto/work_pool.hpp"
+#include "obs/metrics.hpp"
 #include "sim/topologies.hpp"
 
 using namespace sintra;
@@ -81,6 +89,7 @@ Options parse(int argc, char** argv) {
   if (o.sweep == o.fallback_gate) {
     throw std::runtime_error("pass exactly one of --sweep / --fallback-gate");
   }
+  if (o.reps < 1) throw std::runtime_error("--reps wants >= 1");
   return o;
 }
 
@@ -183,72 +192,257 @@ int run_sweep(const Options& o) {
   return completed ? 0 : 1;
 }
 
-/// Times one checked combine facing one Byzantine share: a fresh combiner
-/// handle (the fallback blacklists, so handles are single-use here),
-/// warmed so comb-table builds happen outside the timed region, then the
-/// combine → failed check → per-share fallback → retry sequence.
-double time_fallback_ms(const crypto::RsaThresholdDeal& deal, BytesView msg,
-                        const std::vector<std::pair<int, Bytes>>& shares,
-                        crypto::WorkPool* pool) {
-  const std::unique_ptr<crypto::RsaThresholdScheme> combiner =
-      deal.make_party(0);
-  // Warm: verifying each signer's genuine share builds the per-signer comb
-  // tables so the timed region measures verification, not table builds.
-  for (const auto& [signer, share] : shares) {
-    if (!combiner->verify_share(msg, signer, share)) {
-      throw std::runtime_error("genuine share failed warm-up verification");
-    }
-  }
-  // Shares as combined: signer 0 presents signer k's share bytes — parses
-  // fine, verifies false — so the combine-first check fails and the
-  // fallback individually verifies the k chosen shares.
-  std::vector<std::pair<int, Bytes>> byzantine = shares;
-  byzantine[0].second = shares[static_cast<std::size_t>(combiner->k())].second;
+// One spin-kernel thread runs a few ms; long enough that thread spawn and
+// join are noise, short enough to sit next to every pair.
+constexpr std::uint64_t kSpinIters = 2'000'000;
 
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto sig = combiner->combine_checked(msg, byzantine, pool);
-  const double ms = wall_ms_since(t0);
-  if (!sig.has_value() || !combiner->verify(msg, sig->sig)) {
-    throw std::runtime_error("checked combine failed to recover");
-  }
-  if (!combiner->is_blacklisted(0)) {
-    throw std::runtime_error("Byzantine submitter was not blacklisted");
-  }
-  return ms;
+// Back-to-back fallbacks per timed sample: a few tens of ms, so one
+// scheduler hiccup is a small part of a sample.
+constexpr int kFallbacksPerSample = 4;
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const std::size_t m = v.size() / 2;
+  return v.size() % 2 == 1 ? v[m] : (v[m - 1] + v[m]) / 2.0;
 }
 
+/// Calibration kernel, independent of the code under test: `threads`
+/// threads each run the same fixed xorshift chain.  Returns the wall time
+/// from the first spawn to the last join.
+double spin_ms(std::size_t threads) {
+  std::atomic<std::uint64_t> sink{0};
+  const auto t0 = std::chrono::steady_clock::now();
+  {
+    std::vector<std::jthread> team;
+    for (std::size_t i = 0; i < threads; ++i) {
+      team.emplace_back([&sink, i] {
+        std::uint64_t x = 0x9e3779b97f4a7c15ULL + i;
+        for (std::uint64_t j = 0; j < kSpinIters; ++j) {
+          x ^= x << 13;
+          x ^= x >> 7;
+          x ^= x << 17;
+        }
+        sink.fetch_add(x, std::memory_order_relaxed);
+      });
+    }
+  }
+  return wall_ms_since(t0);
+}
+
+/// How many cores the host gives this process right now: `threads` times
+/// the one-thread spin time over the `threads`-thread spin time.  It reads
+/// `threads` when every thread ran at once and about 1 when they all
+/// shared one core, whatever hardware_concurrency() says.  The one-thread
+/// time is the mean of a run just before and one just after the
+/// `threads`-thread run, so both sides see the same moment of the host.
+double effective_cores(std::size_t threads) {
+  const double before = spin_ms(1);
+  const double many = spin_ms(threads);
+  const double one = (before + spin_ms(1)) / 2.0;
+  return static_cast<double>(threads) * one / many;
+}
+
+std::uint64_t threshold_sig_counter(const char* name) {
+  return obs::registry().counter(name, {{"op", "threshold_sig"}}).value();
+}
+
+/// The gate's workload: an (n, k) Shoup deal and the shares of one
+/// message, with signer 0 presenting signer k's share bytes — parses
+/// fine, verifies false — so a checked combine's first attempt fails and
+/// the fallback verifies the k chosen shares one by one.
+struct FallbackFixture {
+  int k;
+  crypto::RsaThresholdDeal deal;
+  Bytes msg;
+  std::vector<std::pair<int, Bytes>> shares;     // every signer's, genuine
+  std::vector<std::pair<int, Bytes>> byzantine;  // as the combiner gets them
+
+  /// A fresh combiner (the fallback blacklists, so a handle serves one
+  /// fallback), warmed: verifying each signer's genuine share builds the
+  /// per-signer comb tables, so timed regions measure verification, not
+  /// table builds.
+  [[nodiscard]] std::unique_ptr<crypto::RsaThresholdScheme> combiner() const {
+    auto c = deal.make_party(0);
+    for (const auto& [signer, share] : shares) {
+      if (!c->verify_share(msg, signer, share)) {
+        throw std::runtime_error("genuine share failed warm-up verification");
+      }
+    }
+    return c;
+  }
+};
+
+FallbackFixture make_fixture(const Options& o, int k) {
+  Rng rng(o.seed);
+  FallbackFixture fx{k, crypto::deal_rsa_threshold(rng, o.n, k, o.rsa_bits),
+                     to_bytes(std::string("scale-sweep fallback gate")),
+                     {}, {}};
+  for (int i = 0; i < o.n; ++i) {
+    fx.shares.emplace_back(i, fx.deal.make_party(i)->sign_share(fx.msg));
+  }
+  fx.byzantine = fx.shares;
+  fx.byzantine[0].second = fx.shares[static_cast<std::size_t>(k)].second;
+  return fx;
+}
+
+/// One timed sample: `fallbacks` back-to-back checked combines, each on
+/// its own warmed combiner and each facing the Byzantine share.
+struct Sample {
+  double ms = 0.0;
+  Bytes sig;
+  std::set<int> blacklist;
+  std::uint64_t parallel_shares = 0;  // crypto.parallel_verify_shares delta
+  std::uint64_t fallbacks = 0;        // crypto.fallbacks delta
+};
+
+Sample time_fallbacks(const FallbackFixture& fx, int fallbacks,
+                      crypto::WorkPool* pool) {
+  std::vector<std::unique_ptr<crypto::RsaThresholdScheme>> combiners;
+  for (int f = 0; f < fallbacks; ++f) combiners.push_back(fx.combiner());
+  std::vector<std::optional<crypto::RsaThresholdScheme::CheckedSignature>>
+      out(static_cast<std::size_t>(fallbacks));
+
+  const std::uint64_t par0 =
+      threshold_sig_counter("crypto.parallel_verify_shares");
+  const std::uint64_t fb0 = threshold_sig_counter("crypto.fallbacks");
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int f = 0; f < fallbacks; ++f) {
+    out[static_cast<std::size_t>(f)] =
+        combiners[static_cast<std::size_t>(f)]->combine_checked(
+            fx.msg, fx.byzantine, pool);
+  }
+  Sample s;
+  s.ms = wall_ms_since(t0);
+  s.parallel_shares =
+      threshold_sig_counter("crypto.parallel_verify_shares") - par0;
+  s.fallbacks = threshold_sig_counter("crypto.fallbacks") - fb0;
+
+  for (int f = 0; f < fallbacks; ++f) {
+    const auto& sig = out[static_cast<std::size_t>(f)];
+    const auto& c = *combiners[static_cast<std::size_t>(f)];
+    if (!sig.has_value() || !c.verify(fx.msg, sig->sig)) {
+      throw std::runtime_error("checked combine failed to recover");
+    }
+    std::set<int> blacklist;
+    for (int i = 0; i < c.n(); ++i) {
+      if (c.is_blacklisted(i)) blacklist.insert(i);
+    }
+    if (f == 0) {
+      s.sig = sig->sig;
+      s.blacklist = blacklist;
+    } else if (sig->sig != s.sig || blacklist != s.blacklist) {
+      throw std::runtime_error("fallbacks within one sample disagree");
+    }
+  }
+  return s;
+}
+
+/// The fallback's parallelizable part on its own: the k serial share
+/// verifications of each of `fallbacks` fallbacks, on one warmed handle.
+double time_share_checks_ms(const FallbackFixture& fx, int fallbacks) {
+  const auto c = fx.combiner();
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int f = 0; f < fallbacks; ++f) {
+    for (int j = 0; j < fx.k; ++j) {
+      const auto& [signer, share] = fx.byzantine[static_cast<std::size_t>(j)];
+      (void)c->verify_share(fx.msg, signer, share);
+    }
+  }
+  return wall_ms_since(t0);
+}
+
+/// Serial (pool = nullptr, the per-share loop) against WorkPool-parallel
+/// share verification, in `reps` interleaved pairs.  Each pair is preceded
+/// by the spin calibration, alternates which side runs first, and times
+/// the serial split; every sample must prove which path it took through
+/// the counters and agree on the signature and the blacklist.
 int run_fallback_gate(const Options& o) {
   const int t = (o.n - 1) / 3;
   const int k = o.n - t;  // the agreement threshold, the paper's k_AB
-  Rng rng(o.seed);
-  const crypto::RsaThresholdDeal deal =
-      crypto::deal_rsa_threshold(rng, o.n, k, o.rsa_bits);
+  const FallbackFixture fx = make_fixture(o, k);
+  const int fallbacks = kFallbacksPerSample;
+  const auto kk = static_cast<std::uint64_t>(k);
 
-  const Bytes msg = to_bytes(std::string("scale-sweep fallback gate"));
-  std::vector<std::pair<int, Bytes>> shares;
-  for (int i = 0; i < o.n; ++i) {
-    shares.emplace_back(i, deal.make_party(i)->sign_share(msg));
-  }
-
-  const std::size_t threads = std::thread::hardware_concurrency();
+  // Sized by nominal cores; effective_cores() measures what it really gets.
+  const std::size_t threads =
+      std::max(1u, std::thread::hardware_concurrency());
   crypto::WorkPool pool(threads);
 
-  double serial_ms = 1e18;
-  double parallel_ms = 1e18;
-  for (int r = 0; r < o.reps; ++r) {
-    serial_ms = std::min(serial_ms, time_fallback_ms(deal, msg, shares,
-                                                     /*pool=*/nullptr));
-    parallel_ms = std::min(parallel_ms,
-                           time_fallback_ms(deal, msg, shares, &pool));
+  // The reference every later sample must match: the serial path's
+  // signature and blacklist.
+  const Sample ref = time_fallbacks(fx, 1, nullptr);
+  if (ref.blacklist != std::set<int>{0}) {
+    throw std::runtime_error("Byzantine submitter was not blacklisted alone");
   }
-  const double speedup = parallel_ms > 0.0 ? serial_ms / parallel_ms : 0.0;
+  const auto check = [&](const Sample& s, bool parallel) {
+    // Exactly k per fallback on the pool, none on the serial loop: a pool
+    // that silently ran inline fails here, whatever basis the gate takes.
+    const std::uint64_t want_parallel = parallel ? kk * fallbacks : 0;
+    if (s.fallbacks != static_cast<std::uint64_t>(fallbacks) ||
+        s.parallel_shares != want_parallel) {
+      throw std::runtime_error(
+          std::string(parallel ? "parallel" : "serial") +
+          " sample took the wrong path: crypto.fallbacks +" +
+          std::to_string(s.fallbacks) + ", crypto.parallel_verify_shares +" +
+          std::to_string(s.parallel_shares) + " (want +" +
+          std::to_string(fallbacks) + ", +" + std::to_string(want_parallel) +
+          ")");
+    }
+    if (s.sig != ref.sig || s.blacklist != ref.blacklist) {
+      throw std::runtime_error("serial and parallel fallbacks disagree");
+    }
+  };
+  // Warm the pool (and the allocator) with one untimed parallel sample.
+  check(time_fallbacks(fx, fallbacks, &pool), /*parallel=*/true);
+
+  std::vector<double> cores, serial, parallel, speedup, split;
+  std::string pairs;
+  for (int r = 0; r < o.reps; ++r) {
+    const double c = effective_cores(threads);
+    // The share checks are timed right after the serial sample, so the
+    // pair's split sees the same moment of the host.
+    Sample s, p;
+    double v = 0.0;
+    if (r % 2 == 0) {
+      s = time_fallbacks(fx, fallbacks, nullptr);
+      v = time_share_checks_ms(fx, fallbacks);
+      p = time_fallbacks(fx, fallbacks, &pool);
+    } else {
+      p = time_fallbacks(fx, fallbacks, &pool);
+      s = time_fallbacks(fx, fallbacks, nullptr);
+      v = time_share_checks_ms(fx, fallbacks);
+    }
+    check(s, /*parallel=*/false);
+    check(p, /*parallel=*/true);
+    cores.push_back(c);
+    serial.push_back(s.ms);
+    parallel.push_back(p.ms);
+    speedup.push_back(s.ms / p.ms);
+    split.push_back(std::min(1.0, v / s.ms));
+    char pair[160];
+    std::snprintf(pair, sizeof pair,
+                  "%s{\"cores\":%.2f,\"serial_ms\":%.2f,\"parallel_ms\":%.2f,"
+                  "\"speedup\":%.2f,\"share_checks_ms\":%.2f}",
+                  r == 0 ? "" : ",", c, s.ms, p.ms, s.ms / p.ms, v);
+    pairs += pair;
+  }
+  const auto [smin, smax] = std::minmax_element(speedup.begin(), speedup.end());
+  const auto [cmin, cmax] = std::minmax_element(cores.begin(), cores.end());
+  const double split_min = *std::min_element(split.begin(), split.end());
 
   std::printf(
       "{\"mode\":\"fallback_gate\",\"n\":%d,\"t\":%d,\"k\":%d,"
-      "\"rsa_bits\":%d,\"reps\":%d,\"threads\":%zu,"
-      "\"serial_ms\":%.3f,\"parallel_ms\":%.3f,\"speedup\":%.2f}\n",
-      o.n, t, k, o.rsa_bits, o.reps, threads, serial_ms, parallel_ms,
-      speedup);
+      "\"rsa_bits\":%d,\"reps\":%d,\"fallbacks_per_sample\":%d,"
+      "\"threads\":%zu,\"serial_ms\":%.3f,\"parallel_ms\":%.3f,"
+      "\"speedup\":%.2f,\"speedup_min\":%.2f,\"speedup_max\":%.2f,"
+      "\"effective_cores\":%.2f,\"effective_cores_min\":%.2f,"
+      "\"effective_cores_max\":%.2f,\"verify_share_fraction\":%.3f,"
+      "\"verify_share_fraction_min\":%.3f,"
+      "\"parallel_verify_shares_per_fallback\":%llu,\"pairs\":[%s]}\n",
+      o.n, t, k, o.rsa_bits, o.reps, fallbacks, threads, median(serial),
+      median(parallel), median(speedup), *smin, *smax, median(cores), *cmin,
+      *cmax, median(split), split_min,
+      static_cast<unsigned long long>(kk), pairs.c_str());
   return 0;
 }
 

@@ -24,7 +24,9 @@
 #
 # Scenarios:
 #   clean    all four nodes up, close protocol terminates the channel
-#   crash    the last node is SIGKILLed mid-run; the rest must still agree
+#   crash    the last node SIGKILLs itself at its first durable delivery
+#            (--crash-after-records 1, own --state-dir); it must die by
+#            SIGKILL before completing, and the rest must still agree
 #   chaos    all traffic through udp_chaos_proxy (loss/dup/reorder); the
 #            link layer must heal it, and retransmissions + adaptive-RTO
 #            backoff must be visible in the link stats
@@ -259,6 +261,11 @@ launch_node() {
       extra+=(--crash-after-records 1)
     fi
   fi
+  # --crash-after-records counts durable records, so the crashing node
+  # alone gets a state dir; it dies before its first checkpoint.
+  if [[ "$scenario" == crash && $i -eq $last ]]; then
+    extra+=(--state-dir "$workdir/state.$i" --crash-after-records 1)
+  fi
   if [[ "$scenario" == clients ]]; then
     extra+=(--client-port $(( client_base + i )))
   fi
@@ -276,11 +283,40 @@ for i in $(seq 0 $((n - 1))); do
   launch_node "$i"
 done
 
+# Waits for the last node to SIGKILL itself at its --crash-after-records
+# point; fails unless it died by SIGKILL (status 128 + 9) before writing
+# its .done marker.  The node does it itself, so the crash point is exact
+# however fast the group runs.
+await_self_crash() {
+  local crash_deadline=$(( $(date +%s) + ${SINTRA_CLUSTER_TIMEOUT:-420} ))
+  while kill -0 "${pids[$last]}" 2>/dev/null; do
+    if [[ -e "$workdir/out.$last.done" ]]; then
+      echo "FAIL: node $last completed before the crash point" >&2
+      exit 1
+    fi
+    if (( $(date +%s) > crash_deadline )); then
+      echo "FAIL: node $last never reached its crash point" >&2
+      cat "$workdir/stats.$last" >&2 || true
+      exit 1
+    fi
+    sleep 0.05
+  done
+  local crash_status=0
+  wait "${pids[$last]}" 2>/dev/null || crash_status=$?
+  if (( crash_status != 128 + 9 )) || [[ -e "$workdir/out.$last.done" ]]; then
+    echo "FAIL: node $last exited with status $crash_status, not by" \
+         "SIGKILL at its first durable delivery" >&2
+    cat "$workdir/stats.$last" >&2 || true
+    exit 1
+  fi
+  echo "== node $last SIGKILLed itself (status $crash_status) before completing"
+}
+
 expected=($(seq 0 $last))
 if [[ "$scenario" == crash ]]; then
-  sleep 1
-  echo "== crashing node $last (SIGKILL)"
-  kill -9 "${pids[$last]}" 2>/dev/null || true
+  # The last node SIGKILLs itself at its first durable delivery, so the
+  # rest of the run goes on without it.
+  await_self_crash
   expected=($(seq 0 $(( last - 1 ))))
 fi
 
@@ -290,30 +326,9 @@ if [[ "$scenario" == recover ]]; then
   # earliest point where a kill leaves state worth recovering.  Killing
   # at the first record (of n * send_count total) guarantees the restart
   # replays a partial log and must use catch-up, not a persisted final
-  # cert.  The node does it itself, so the crash point is exact however
-  # fast the group runs.
-  crash_deadline=$(( $(date +%s) + ${SINTRA_CLUSTER_TIMEOUT:-420} ))
-  while kill -0 "${pids[$last]}" 2>/dev/null; do
-    if [[ -e "$workdir/out.$last.done" ]]; then
-      echo "FAIL: node $last completed before the crash point" >&2
-      exit 1
-    fi
-    if (( $(date +%s) > crash_deadline )); then
-      echo "FAIL: node $last never reached its first durable delivery" >&2
-      cat "$workdir/stats.$last" >&2 || true
-      exit 1
-    fi
-    sleep 0.05
-  done
-  crash_status=0
-  wait "${pids[$last]}" 2>/dev/null || crash_status=$?
-  if (( crash_status != 128 + 9 )); then
-    echo "FAIL: node $last exited with status $crash_status, not by" \
-         "SIGKILL at its first durable delivery" >&2
-    cat "$workdir/stats.$last" >&2 || true
-    exit 1
-  fi
-  echo "== node $last SIGKILLed itself; restarting from $workdir/state.$last"
+  # cert.
+  await_self_crash
+  echo "== restarting node $last from $workdir/state.$last"
   restarted=1
   launch_node $last
 fi

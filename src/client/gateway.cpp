@@ -87,14 +87,19 @@ void ClientGateway::set_pending_gauge() {
 
 void ClientGateway::send_reply(std::uint32_t client_id, ClientState& cs,
                                const ReplyFrame& frame) {
-  if (!cs.addr_known || !reply_) return;
+  if (!reply_) return;
   Bytes dgram = encode_reply(frame, keys_.key(client_id));
   if (frame.status == Status::kOk) {
     // Cache the wire-ready bytes so a retransmitted request gets the
-    // same authoritative answer without re-execution.
+    // same authoritative answer without re-execution.  This holds even
+    // before the client's first datagram reached this replica (another
+    // replica proposed the request): that datagram must find the kOk
+    // here, not kStale, or a client whose first datagrams reached only
+    // one replica could never assemble its t+1 kOk quorum.
     cs.replies.emplace_back(frame.seq, dgram);
     while (cs.replies.size() > opts_.reply_cache) cs.replies.pop_front();
   }
+  if (!cs.addr_known) return;
   if (mangle_) dgram = mangle_(std::move(dgram));
   reply_(cs.addr, std::move(dgram));
   replies_sent_.inc();

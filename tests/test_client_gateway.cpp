@@ -204,6 +204,28 @@ TEST(ClientGateway, StaleSeqAfterCacheEviction) {
   EXPECT_EQ(h.gw->executed_count(), 2u);  // never re-executed
 }
 
+TEST(ClientGateway, ExecutedBeforeFirstDatagramAnswersFromCache) {
+  GatewayHarness h;
+  // Another replica proposed client 6's request; it executes here before
+  // any of the client's datagrams arrived, so there is no one to reply to.
+  WrappedRequest w;
+  w.client_id = 6;
+  w.seq = 1;
+  w.payload = to_bytes("late");
+  w.mac = request_mac(6, 1, w.payload, h.table.key(6));
+  ASSERT_TRUE(h.gw->on_delivered(wrap_request(w)).has_value());
+  EXPECT_TRUE(h.replies.empty());
+  // The client's retransmit finally arrives: it gets the executed kOk,
+  // not kStale, and nothing is proposed or executed again.
+  h.gw->on_request_datagram(h.request(6, 1, "late"), "x");
+  auto reply = h.last_reply(6, "x");
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, Status::kOk);
+  EXPECT_EQ(reply->global_seq, 0u);
+  EXPECT_TRUE(h.submitted.empty());
+  EXPECT_EQ(h.gw->executed_count(), 1u);
+}
+
 TEST(ClientGateway, RateLimitShedsWithOverloadedReply) {
   ClientGateway::Options opts;
   opts.global_rate_per_sec = 1.0;
