@@ -19,6 +19,7 @@
 #include "crypto/coin.hpp"
 #include "crypto/dealer.hpp"
 #include "crypto/group.hpp"
+#include "crypto/hmac.hpp"
 #include "crypto/tdh2.hpp"
 
 namespace {
@@ -525,6 +526,51 @@ void BM_CoinShareVerifyFast(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CoinShareVerifyFast);
+
+// One link-frame MAC: a 37-byte header (type, ids, epochs, seq, body
+// length) plus the body, as SlidingWindowLink authenticates every data
+// and ack frame.  keyed:1 uses the link's precomputed HMAC state, keyed:0
+// the one-shot hmac() over the concatenated input, which absorbs the two
+// key pads again on every call.
+void BM_HmacSha1Frame(benchmark::State& state) {
+  const bool keyed = state.range(0) != 0;
+  const Bytes key = to_bytes("0123456789abcdef");
+  const Bytes header(37, 0x42);
+  const Bytes body(static_cast<std::size_t>(state.range(1)), 0x17);
+  const crypto::HmacSha1 link_mac(key);
+  for (auto _ : state) {
+    if (keyed) {
+      benchmark::DoNotOptimize(link_mac.mac({header, body}));
+    } else {
+      benchmark::DoNotOptimize(
+          crypto::hmac_sha1(key, concat({header, body})));
+    }
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(header.size() + body.size()));
+}
+BENCHMARK(BM_HmacSha1Frame)
+    ->ArgNames({"keyed", "body"})
+    ->ArgsProduct({{0, 1}, {0, 64, 1024}});
+
+// A repeated RSA-FDH check answered by the party's memo: an exact-match
+// lookup over a message of the given size.  work_per_op is the units the
+// hit charges, the same as the first (computed) check.
+void BM_VerifyMemoHit(benchmark::State& state) {
+  Fixture& fx = fixture(1024, crypto::SigImpl::kMultiSig);
+  const Bytes msg(static_cast<std::size_t>(state.range(0)), 0x33);
+  const Bytes sig = fx.deal.parties[0].sign(msg);
+  const crypto::RsaPublicKey& pub = fx.deal.parties[0].own_rsa->pub;
+  crypto::VerifyMemo memo;
+  benchmark::DoNotOptimize(
+      memo.verify(0, pub, msg, sig, fx.deal.parties[0].hash));  // the miss
+  WorkTracker wt(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        memo.verify(0, pub, msg, sig, fx.deal.parties[0].hash));
+  }
+}
+BENCHMARK(BM_VerifyMemoHit)->Arg(32)->Arg(4096);
 
 }  // namespace
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "crypto/hmac.hpp"
 #include "util/serde.hpp"
 
 namespace sintra::core {
@@ -24,12 +23,12 @@ std::uint64_t derived_epoch(int self, int peer) {
 }  // namespace
 
 SlidingWindowLink::SlidingWindowLink(DatagramChannel& channel, int self,
-                                     int peer, Bytes link_key,
+                                     int peer, BytesView link_key,
                                      Options options)
     : channel_(channel),
       self_(self),
       peer_(peer),
-      link_key_(std::move(link_key)),
+      link_mac_(link_key),
       options_(options),
       epoch_(options.epoch != 0 ? options.epoch : derived_epoch(self, peer)),
       jitter_state_(0x9e3779b97f4a7c15ULL ^
@@ -38,28 +37,19 @@ SlidingWindowLink::SlidingWindowLink(DatagramChannel& channel, int self,
   stats_.rto_ms = options_.retransmit_ms;
 }
 
-Bytes SlidingWindowLink::mac(FrameType type, std::uint64_t sender_epoch,
-                             std::uint64_t echo, std::uint64_t seq,
-                             BytesView body) const {
-  // The MAC binds direction: data flows self->peer under (self, peer),
-  // our ACKs answer peer->self traffic and are bound to (peer, self)'s
-  // receive side with a distinct type byte — no frame can be reflected.
-  // Both session epochs are covered, so neither the sender's epoch nor
-  // the echo can be forged or spliced between sessions.
-  Writer w;
-  w.u8(static_cast<std::uint8_t>(type));
-  if (type == FrameType::kData) {
-    w.u32(static_cast<std::uint32_t>(self_));
-    w.u32(static_cast<std::uint32_t>(peer_));
-  } else {
-    w.u32(static_cast<std::uint32_t>(peer_));
-    w.u32(static_cast<std::uint32_t>(self_));
-  }
-  w.u64(sender_epoch);
-  w.u64(echo);
-  w.u64(seq);
-  w.bytes(body);
-  return crypto::hmac(crypto::HashKind::kSha1, link_key_, w.data());
+SlidingWindowLink::MacHeader SlidingWindowLink::mac_header(
+    FrameType type, int from, int to, std::uint64_t sender_epoch,
+    std::uint64_t echo, std::uint64_t seq, std::size_t body_size) {
+  MacHeader h{};
+  std::uint8_t* p = h.data();
+  *p++ = static_cast<std::uint8_t>(type);
+  p = put_u32(p, static_cast<std::uint32_t>(from));
+  p = put_u32(p, static_cast<std::uint32_t>(to));
+  p = put_u64(p, sender_epoch);
+  p = put_u64(p, echo);
+  p = put_u64(p, seq);
+  put_u32(p, static_cast<std::uint32_t>(body_size));
+  return h;
 }
 
 Bytes SlidingWindowLink::frame(FrameType type, std::uint64_t seq,
@@ -67,13 +57,23 @@ Bytes SlidingWindowLink::frame(FrameType type, std::uint64_t seq,
   // Frames are built at transmission time, so a retransmission after the
   // peer's epoch became known (or changed) automatically carries the
   // fresh echo.
+  //
+  // The MAC binds direction: data flows self->peer under (self, peer),
+  // our ACKs answer peer->self traffic and are bound to (peer, self)'s
+  // receive side with a distinct type byte — no frame can be reflected.
+  // Both session epochs are covered, so neither the sender's epoch nor
+  // the echo can be forged or spliced between sessions.
+  const bool data = type == FrameType::kData;
+  const MacHeader header =
+      mac_header(type, data ? self_ : peer_, data ? peer_ : self_, epoch_,
+                 peer_epoch_, seq, body.size());
   Writer w;
   w.u8(static_cast<std::uint8_t>(type));
   w.u64(epoch_);
   w.u64(peer_epoch_);
   w.u64(seq);
   w.bytes(body);
-  w.bytes(mac(type, epoch_, peer_epoch_, seq, body));
+  w.bytes(link_mac_.mac({header, body}));
   return std::move(w).take();
 }
 
@@ -239,8 +239,8 @@ void SlidingWindowLink::on_datagram(BytesView datagram) {
     const std::uint64_t sender_epoch = r.u64();
     const std::uint64_t echo = r.u64();
     const std::uint64_t seq = r.u64();
-    const Bytes body = r.bytes();
-    const Bytes tag = r.bytes();
+    const BytesView body = r.raw_view(r.u32());
+    const BytesView tag = r.raw_view(r.u32());
     r.expect_end();
 
     if (type != FrameType::kData && type != FrameType::kAck) {
@@ -250,35 +250,27 @@ void SlidingWindowLink::on_datagram(BytesView datagram) {
 
     // Peer's data is authenticated under (peer -> self); its ACKs answer
     // our data and are bound to (self -> peer)'s receive side.
-    Writer w;
-    w.u8(static_cast<std::uint8_t>(type));
-    if (type == FrameType::kData) {
-      w.u32(static_cast<std::uint32_t>(peer_));
-      w.u32(static_cast<std::uint32_t>(self_));
-    } else {
-      w.u32(static_cast<std::uint32_t>(self_));
-      w.u32(static_cast<std::uint32_t>(peer_));
-    }
-    w.u64(sender_epoch);
-    w.u64(echo);
-    w.u64(seq);
-    w.bytes(body);
-    if (!crypto::hmac_verify(crypto::HashKind::kSha1, link_key_, w.data(),
-                             tag)) {
+    const bool data = type == FrameType::kData;
+    const MacHeader header =
+        mac_header(type, data ? peer_ : self_, data ? self_ : peer_,
+                   sender_epoch, echo, seq, body.size());
+    if (!link_mac_.verify({header, body}, tag)) {
       ++stats_.drop_auth;  // forged or corrupted (incl. the §3 attack)
       return;
     }
 
     if (!accept_epochs(sender_epoch, echo)) return;
 
-    if (type == FrameType::kData) {
+    if (data) {
       ++stats_.data_received;
       if (seq < expected_) {
         ++stats_.drop_duplicate;  // already delivered; re-ack below heals
       } else if (seq >= expected_ + options_.max_receive_buffer) {
         ++stats_.drop_overflow;  // beyond the buffer window: flood guard
       } else {
-        if (!out_of_order_.try_emplace(seq, body).second) {
+        // The one copy of the body: made only when it is buffered.
+        if (!out_of_order_.try_emplace(seq, body.begin(), body.end())
+                 .second) {
           ++stats_.drop_duplicate;  // buffered copy already held
         }
         while (!out_of_order_.empty() &&

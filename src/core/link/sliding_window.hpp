@@ -42,11 +42,13 @@
 // re-sending payloads the dead process had accepted but not yet flushed.
 #pragma once
 
+#include <array>
 #include <deque>
 #include <functional>
 #include <map>
 #include <memory>
 
+#include "crypto/hmac.hpp"
 #include "util/bytes.hpp"
 
 namespace sintra::core {
@@ -124,11 +126,10 @@ class SlidingWindowLink {
   /// the endpoints and are bound into every MAC so frames cannot be
   /// reflected or cross-wired.
   SlidingWindowLink(DatagramChannel& channel, int self, int peer,
-                    Bytes link_key, Options options);
+                    BytesView link_key, Options options);
   SlidingWindowLink(DatagramChannel& channel, int self, int peer,
-                    Bytes link_key)
-      : SlidingWindowLink(channel, self, peer, std::move(link_key),
-                          Options{}) {}
+                    BytesView link_key)
+      : SlidingWindowLink(channel, self, peer, link_key, Options{}) {}
 
   /// Queues a message for reliable in-order delivery to the peer.
   void send(Bytes message);
@@ -177,9 +178,15 @@ class SlidingWindowLink {
     bool retransmitted = false;  // Karn's rule: never RTT-sample these
   };
 
-  [[nodiscard]] Bytes mac(FrameType type, std::uint64_t sender_epoch,
-                          std::uint64_t echo, std::uint64_t seq,
-                          BytesView body) const;
+  /// MAC input before the body: type, data sender, data receiver, sender
+  /// epoch, echo, seq and body length, encoded as Writer would.
+  static constexpr std::size_t kMacHeaderSize = 1 + 4 + 4 + 8 + 8 + 8 + 4;
+  using MacHeader = std::array<std::uint8_t, kMacHeaderSize>;
+  [[nodiscard]] static MacHeader mac_header(FrameType type, int from, int to,
+                                            std::uint64_t sender_epoch,
+                                            std::uint64_t echo,
+                                            std::uint64_t seq,
+                                            std::size_t body_size);
   [[nodiscard]] Bytes frame(FrameType type, std::uint64_t seq,
                             BytesView body) const;
   void pump();
@@ -198,7 +205,7 @@ class SlidingWindowLink {
   DatagramChannel& channel_;
   int self_;
   int peer_;
-  Bytes link_key_;
+  crypto::HmacSha1 link_mac_;  // keyed once with the pairwise link key
   Options options_;
 
   // Session epochs.

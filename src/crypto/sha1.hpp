@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.hpp"
 
@@ -24,6 +25,8 @@ class Sha1 {
   /// Finalizes and returns the 20-byte digest; the object must not be
   /// updated afterwards.
   [[nodiscard]] Bytes digest();
+  /// Same, written into a caller's buffer (no allocation).
+  void digest_to(std::span<std::uint8_t, kDigestSize> out);
 
   /// One-shot convenience.
   static Bytes hash(BytesView data);

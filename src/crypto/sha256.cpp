@@ -40,6 +40,12 @@ Sha256& Sha256::update(BytesView data) {
 }
 
 Bytes Sha256::digest() {
+  Bytes out(kDigestSize);
+  digest_to(std::span<std::uint8_t, kDigestSize>(out.data(), kDigestSize));
+  return out;
+}
+
+void Sha256::digest_to(std::span<std::uint8_t, kDigestSize> out) {
   if (finalized_) throw std::logic_error("Sha256: digest called twice");
   finalized_ = true;
   const std::uint64_t bit_len = total_len_ * 8;
@@ -55,14 +61,12 @@ Bytes Sha256::digest() {
   }
   process_block(buffer_.data());
 
-  Bytes out(kDigestSize);
   for (int i = 0; i < 8; ++i) {
     out[4 * i] = static_cast<std::uint8_t>(h_[i] >> 24);
     out[4 * i + 1] = static_cast<std::uint8_t>(h_[i] >> 16);
     out[4 * i + 2] = static_cast<std::uint8_t>(h_[i] >> 8);
     out[4 * i + 3] = static_cast<std::uint8_t>(h_[i]);
   }
-  return out;
 }
 
 void Sha256::process_block(const std::uint8_t* block) {

@@ -5,6 +5,7 @@
 
 #include <array>
 #include <cstdint>
+#include <span>
 
 #include "util/bytes.hpp"
 
@@ -19,6 +20,7 @@ class Sha256 {
 
   Sha256& update(BytesView data);
   [[nodiscard]] Bytes digest();
+  void digest_to(std::span<std::uint8_t, kDigestSize> out);
 
   static Bytes hash(BytesView data);
 

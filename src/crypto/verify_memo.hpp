@@ -9,25 +9,33 @@
 // signature check — goes through that party's one VerifyMemo, so each
 // distinct signature costs one modular exponentiation per party.
 //
-// Soundness: a hit requires a SHA-256 tag match over (signer, public key,
-// hash kind, message, signature), and only verifications that succeeded
-// are stored, so a hit answers exactly what rsa_verify would (up to a
-// SHA-256 collision).  A failed check is never remembered: an invalid
-// signature is re-checked, and rejected, every time.
+// Soundness: an entry keeps every input of the check — signer, hash
+// kind, public key, message and signature bytes — and a hit requires all
+// of them to be equal, byte for byte.  Only verifications that succeeded
+// are stored, so a hit answers exactly what rsa_verify would on the same
+// inputs.  A failed check is never remembered: an invalid signature is
+// re-checked, and rejected, every time.
 //
 // Cost accounting: a hit charges the bignum work counter the units the
 // first verification measured (bignum::charge_work), so the simulator's
 // virtual time, the crypto.work counters and every work-unit pin are the
 // same whether or not the memo remembers; only host CPU drops.
 //
-// Memory is fixed: a direct-mapped table of kSlots tags (40 KB); a new
-// entry overwrites whatever shared its slot.  Thread-safe — the mutex
-// guards the slot lookup and the insert, never the exponentiation, so
-// crypto-pool workers verify concurrently.
+// Memory: a direct-mapped table of kSlots entry pointers (8 KB), indexed
+// by the signer and the signature's low 8 bytes (honest RSA signatures
+// are uniform there, so no hashing is needed).  The entries together hold
+// at most kByteBudget bytes (1 MiB), each counted as its message,
+// signature and key bytes plus its fixed size.  A new entry replaces
+// whatever shared its slot; one that does not fit the budget even then
+// is simply not remembered and is re-verified every time.  Bundle
+// statements can carry up to 64 KiB, so the budget bites only on large
+// ones.  Thread-safe — the mutex guards the lookup and the insert, never
+// the exponentiation, so crypto-pool workers verify concurrently.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 
 #include "crypto/rsa.hpp"
@@ -37,6 +45,7 @@ namespace sintra::crypto {
 class VerifyMemo {
  public:
   static constexpr std::size_t kSlots = 1024;
+  static constexpr std::size_t kByteBudget = std::size_t{1} << 20;
 
   /// Signer id used for a group key (the Shoup scheme's one public key).
   static constexpr int kGroupKey = -1;
@@ -46,15 +55,23 @@ class VerifyMemo {
   [[nodiscard]] bool verify(int signer, const RsaPublicKey& key,
                             BytesView msg, BytesView sig, HashKind hash);
 
+  /// Bytes the stored entries count against kByteBudget.
+  [[nodiscard]] std::size_t bytes_held() const;
+
  private:
-  using Tag = std::array<std::uint8_t, Sha256::kDigestSize>;
-  struct Slot {
-    Tag tag{};
-    std::uint64_t work = 0;  // units the verification charged; 0 = empty
+  struct Entry {
+    int signer;
+    HashKind hash;
+    RsaPublicKey key;
+    Bytes msg;
+    Bytes sig;
+    std::uint64_t work;  // units the verification charged
+    std::size_t bytes;   // what this entry counts against the budget
   };
 
-  std::mutex mu_;
-  std::array<Slot, kSlots> slots_{};
+  mutable std::mutex mu_;
+  std::array<std::unique_ptr<Entry>, kSlots> slots_{};
+  std::size_t held_ = 0;
 };
 
 }  // namespace sintra::crypto

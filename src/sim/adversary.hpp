@@ -46,8 +46,9 @@ class Adversary {
                double at_ms) {
     const Bytes frame = core::frame_message(pid, payload);
     const Bytes wire = authenticate_frame(
-        keys_of(from).link_keys.at(static_cast<std::size_t>(to)), from, to,
-        frame);
+        crypto::HmacSha1(
+            keys_of(from).link_keys.at(static_cast<std::size_t>(to))),
+        from, to, frame);
     sim_.inject(from, to, wire, at_ms);
   }
 

@@ -1,41 +1,38 @@
 #include "sim/network.hpp"
 
-#include "crypto/hmac.hpp"
+#include <array>
+
 #include "util/serde.hpp"
 
 namespace sintra::sim {
 
 namespace {
-Bytes mac_input(int from, int to, BytesView frame) {
-  Writer w;
-  w.u32(static_cast<std::uint32_t>(from));
-  w.u32(static_cast<std::uint32_t>(to));
-  w.raw(frame);
-  return std::move(w).take();
+/// The MAC input before the frame: from and to, as Writer::u32 encodes
+/// them.
+std::array<std::uint8_t, 8> mac_header(int from, int to) {
+  std::array<std::uint8_t, 8> h{};
+  put_u32(put_u32(h.data(), static_cast<std::uint32_t>(from)),
+          static_cast<std::uint32_t>(to));
+  return h;
 }
 }  // namespace
 
-Bytes authenticate_frame(BytesView link_key, int from, int to,
+Bytes authenticate_frame(const crypto::HmacSha1& link_mac, int from, int to,
                          BytesView frame) {
-  const Bytes tag =
-      crypto::hmac(crypto::HashKind::kSha1, link_key, mac_input(from, to, frame));
   Writer w;
-  w.bytes(tag);
+  w.bytes(link_mac.mac({mac_header(from, to), frame}));
   w.raw(frame);
   return std::move(w).take();
 }
 
-bool open_frame(BytesView link_key, int from, int to, BytesView wire,
-                Bytes& frame_out) {
+bool open_frame(const crypto::HmacSha1& link_mac, int from, int to,
+                BytesView wire, Bytes& frame_out) {
   try {
     Reader r(wire);
-    const Bytes tag = r.bytes();
-    Bytes frame = r.raw(r.remaining());
-    if (!crypto::hmac_verify(crypto::HashKind::kSha1, link_key,
-                             mac_input(from, to, frame), tag)) {
-      return false;
-    }
-    frame_out = std::move(frame);
+    const BytesView tag = r.raw_view(r.u32());
+    const BytesView frame = r.raw_view(r.remaining());
+    if (!link_mac.verify({mac_header(from, to), frame}, tag)) return false;
+    frame_out.assign(frame.begin(), frame.end());
     return true;
   } catch (const SerdeError&) {
     return false;

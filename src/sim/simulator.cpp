@@ -12,6 +12,7 @@ Node::Node(Simulator& sim, int id, crypto::PartyKeys keys,
     : sim_(sim),
       id_(id),
       keys_(std::move(keys)),
+      link_macs_(keys_.link_keys.begin(), keys_.link_keys.end()),
       rng_(0x90de ^ (static_cast<std::uint64_t>(id) << 20) ^
            ((boot - 1) << 44)) {
   // Same instrumentation surface as the real-network stack; timestamps
@@ -132,7 +133,7 @@ void Simulator::transmit(int from, int to, Bytes frame, double depart_ms) {
   Bytes wire =
       authenticate_links
           ? authenticate_frame(
-                nodes_[static_cast<std::size_t>(from)]->keys_.link_keys[static_cast<std::size_t>(to)],
+                nodes_[static_cast<std::size_t>(from)]->link_macs_[static_cast<std::size_t>(to)],
                 from, to, frame)
           : std::move(frame);
 
@@ -164,7 +165,7 @@ void Simulator::deliver(int from, int to, Bytes wire, double arrival_ms) {
   if (node.crashed_) return;
   Bytes frame;
   if (authenticate_links) {
-    if (!open_frame(node.keys_.link_keys[static_cast<std::size_t>(from)],
+    if (!open_frame(node.link_macs_[static_cast<std::size_t>(from)],
                     from, to, wire, frame)) {
       return;  // forged or corrupted: drop silently
     }

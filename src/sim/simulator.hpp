@@ -20,6 +20,7 @@
 
 #include "core/dispatcher.hpp"
 #include "core/env.hpp"
+#include "crypto/hmac.hpp"
 #include "sim/datagram.hpp"
 #include "sim/trace.hpp"
 #include "sim/topologies.hpp"
@@ -61,6 +62,8 @@ class Node final : public core::Environment {
   Simulator& sim_;
   int id_;
   crypto::PartyKeys keys_;
+  /// link_macs_[j]: HMAC keyed with keys_.link_keys[j], built once.
+  std::vector<crypto::HmacSha1> link_macs_;
   core::Dispatcher dispatcher_;
   Rng rng_;
   double cpu_free_at_ms_ = 0.0;

@@ -1,14 +1,15 @@
 #include "util/serde.hpp"
 
+#include <array>
+
 namespace sintra {
 
 void Writer::u8(std::uint8_t v) { buf_.push_back(v); }
 
 void Writer::u32(std::uint32_t v) {
-  buf_.push_back(static_cast<std::uint8_t>(v >> 24));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 16));
-  buf_.push_back(static_cast<std::uint8_t>(v >> 8));
-  buf_.push_back(static_cast<std::uint8_t>(v));
+  std::array<std::uint8_t, 4> b{};
+  put_u32(b.data(), v);
+  raw(b);
 }
 
 void Writer::u64(std::uint64_t v) {
@@ -27,6 +28,19 @@ void Writer::str(std::string_view s) {
 }
 
 void Writer::raw(BytesView b) { buf_.insert(buf_.end(), b.begin(), b.end()); }
+
+std::uint8_t* put_u32(std::uint8_t* out, std::uint32_t v) {
+  out[0] = static_cast<std::uint8_t>(v >> 24);
+  out[1] = static_cast<std::uint8_t>(v >> 16);
+  out[2] = static_cast<std::uint8_t>(v >> 8);
+  out[3] = static_cast<std::uint8_t>(v);
+  return out + 4;
+}
+
+std::uint8_t* put_u64(std::uint8_t* out, std::uint64_t v) {
+  return put_u32(put_u32(out, static_cast<std::uint32_t>(v >> 32)),
+                 static_cast<std::uint32_t>(v));
+}
 
 void Reader::need(std::size_t n) const {
   if (data_.size() - pos_ < n) throw SerdeError("Reader: truncated input");

@@ -45,6 +45,11 @@ class Writer {
   Bytes buf_;
 };
 
+/// Writer::u32 / Writer::u64's big-endian encoding into a caller's buffer
+/// (headers built on the stack); returns the position after the value.
+std::uint8_t* put_u32(std::uint8_t* out, std::uint32_t v);
+std::uint8_t* put_u64(std::uint8_t* out, std::uint64_t v);
+
 /// Consumes values from a byte buffer; throws SerdeError past the end.
 class Reader {
  public:

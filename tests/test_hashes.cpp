@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
 #include "crypto/hmac.hpp"
 #include "crypto/sha1.hpp"
 #include "crypto/sha256.hpp"
 #include "util/hex.hpp"
+#include "util/rng.hpp"
 
 namespace sintra::crypto {
 namespace {
@@ -130,38 +133,88 @@ TEST(Sha256, DispatchHelpers) {
   EXPECT_EQ(hash_digest_size(HashKind::kSha256), 32u);
 }
 
-// --- HMAC: RFC 2202 (SHA-1) and RFC 4231 (SHA-256) vectors ---
+// --- HMAC: RFC 2202 (SHA-1) and RFC 4231 (SHA-256) vectors, each through
+// the one-shot hmac() and through a KeyedHmac fed the message in two parts.
+
+template <typename Hash>
+std::string hmac_hex(BytesView key, BytesView data) {
+  const std::string one_shot = hex_encode(
+      hmac(std::is_same_v<Hash, Sha1> ? HashKind::kSha1 : HashKind::kSha256,
+           key, data));
+  const auto tag = KeyedHmac<Hash>(key).mac(
+      {data.subspan(0, data.size() / 2), data.subspan(data.size() / 2)});
+  EXPECT_EQ(hex_encode(tag), one_shot);
+  return one_shot;
+}
 
 TEST(Hmac, Rfc2202Case1) {
   const Bytes key(20, 0x0b);
+  EXPECT_EQ(hmac_hex<Sha1>(key, to_bytes("Hi There")),
+            "b617318655057264e28bc0b6fb378c8ef146be00");
   EXPECT_EQ(hex_encode(hmac_sha1(key, to_bytes("Hi There"))),
             "b617318655057264e28bc0b6fb378c8ef146be00");
 }
 
 TEST(Hmac, Rfc2202Case2) {
-  EXPECT_EQ(hex_encode(hmac_sha1(to_bytes("Jefe"),
-                                 to_bytes("what do ya want for nothing?"))),
+  EXPECT_EQ(hmac_hex<Sha1>(to_bytes("Jefe"),
+                           to_bytes("what do ya want for nothing?")),
             "effcdf6ae5eb2fa2d27416d5f184df9c259a7c79");
 }
 
 TEST(Hmac, Rfc2202LongKey) {
   const Bytes key(80, 0xaa);
-  EXPECT_EQ(hex_encode(hmac_sha1(
-                key, to_bytes("Test Using Larger Than Block-Size Key - "
-                              "Hash Key First"))),
+  EXPECT_EQ(hmac_hex<Sha1>(key, to_bytes("Test Using Larger Than Block-Size "
+                                         "Key - Hash Key First")),
             "aa4ae5e15272d00e95705637ce8a3b55ed402112");
 }
 
 TEST(Hmac, Rfc4231Case1Sha256) {
   const Bytes key(20, 0x0b);
-  EXPECT_EQ(hex_encode(hmac(HashKind::kSha256, key, to_bytes("Hi There"))),
+  EXPECT_EQ(hmac_hex<Sha256>(key, to_bytes("Hi There")),
             "b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7");
 }
 
 TEST(Hmac, Rfc4231Case2Sha256) {
-  EXPECT_EQ(hex_encode(hmac(HashKind::kSha256, to_bytes("Jefe"),
-                            to_bytes("what do ya want for nothing?"))),
+  EXPECT_EQ(hmac_hex<Sha256>(to_bytes("Jefe"),
+                             to_bytes("what do ya want for nothing?")),
             "5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843");
+}
+
+// Case 6: a 131-byte key, longer than the block, is hashed first.
+TEST(Hmac, Rfc4231Case6Sha256LongKey) {
+  const Bytes key(131, 0xaa);
+  EXPECT_EQ(hmac_hex<Sha256>(key, to_bytes("Test Using Larger Than Block-Size "
+                                           "Key - Hash Key First")),
+            "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+}
+
+// The keyed state is reusable: every two-part split of every message up
+// to 300 bytes, MACed through one KeyedHmac, equals the one-shot hmac().
+template <typename Hash>
+void expect_keyed_splits_match_one_shot(HashKind kind) {
+  Rng rng(0x4a4c);
+  const Bytes key = rng.bytes(16);
+  const KeyedHmac<Hash> keyed(key);
+  const Bytes msg = rng.bytes(300);
+  for (std::size_t len = 0; len <= msg.size(); ++len) {
+    const BytesView whole(msg.data(), len);
+    const Bytes expect = hmac(kind, key, whole);
+    for (std::size_t cut = 0; cut <= len; ++cut) {
+      const auto tag = keyed.mac({whole.subspan(0, cut), whole.subspan(cut)});
+      ASSERT_EQ(Bytes(tag.begin(), tag.end()), expect)
+          << "len " << len << " cut " << cut;
+      ASSERT_TRUE(keyed.verify({whole.subspan(0, cut), whole.subspan(cut)},
+                               expect));
+    }
+  }
+}
+
+TEST(Hmac, KeyedSplitsMatchOneShotSha1) {
+  expect_keyed_splits_match_one_shot<Sha1>(HashKind::kSha1);
+}
+
+TEST(Hmac, KeyedSplitsMatchOneShotSha256) {
+  expect_keyed_splits_match_one_shot<Sha256>(HashKind::kSha256);
 }
 
 TEST(Hmac, VerifyAcceptsAndRejects) {

@@ -2,7 +2,9 @@
 
 #include "crypto/rsa.hpp"
 #include "sim/adversary.hpp"
+#include "sim/network.hpp"
 #include "sim/simulator.hpp"
+#include "util/hex.hpp"
 
 namespace sintra::sim {
 namespace {
@@ -173,6 +175,26 @@ TEST(Simulator, ForgedWireWithoutKeysDropped) {
   sim.inject(0, 1, core::frame_message("x", to_bytes("forged")), 0.0);
   sim.run();
   EXPECT_EQ(received, 0);
+}
+
+// Golden wire bytes of a link-authenticated frame (tag over from, to and
+// the frame, then the frame), and the round trip through open_frame.
+TEST(Simulator, AuthenticatedFrameBytesPinned) {
+  const crypto::HmacSha1 key(to_bytes("pinned-sim-key!!"));
+  Bytes frame(90);
+  for (std::size_t i = 0; i < frame.size(); ++i) {
+    frame[i] = static_cast<std::uint8_t>(i * 13 + 1);
+  }
+  const Bytes wire = authenticate_frame(key, 1, 3, frame);
+  EXPECT_EQ(hex_encode(wire),
+            "00000014e23c0e4d9cb64247947d6ab54e0e1f90655c232d010e1b2835424f5c"
+            "697683909daab7c4d1deebf805121f2c394653606d7a8794a1aebbc8d5e2effc"
+            "091623303d4a5764717e8b98a5b2bfccd9e6f3000d1a2734414e5b6875828f9c"
+            "a9b6c3d0ddeaf704111e2b3845525f6c7986");
+  Bytes opened;
+  ASSERT_TRUE(open_frame(key, 1, 3, wire, opened));
+  EXPECT_EQ(opened, frame);
+  EXPECT_FALSE(open_frame(key, 3, 1, wire, opened));
 }
 
 TEST(Simulator, AdversaryWithKeysCanImpersonateCorrupted) {

@@ -9,6 +9,7 @@
 #include "core/broadcast/reliable_broadcast.hpp"
 #include "core/channel/atomic_channel.hpp"
 #include "sim_fixture.hpp"
+#include "util/hex.hpp"
 
 namespace sintra::core {
 namespace {
@@ -200,6 +201,48 @@ TEST(SlidingWindow, ReflectedFrameRejected) {
   const Bytes frame = lp.ca.sent[0];
   lp.a.on_datagram(frame);  // reflected
   EXPECT_TRUE(lp.delivered_at_a.empty());
+}
+
+// Golden wire bytes: one data frame and the ack that answers it, under a
+// fixed key, ids, epochs, sequence number and a body that spans two SHA-1
+// blocks.  Any change to the frame layout or to what the MAC covers
+// changes these bytes.
+TEST(SlidingWindow, FrameBytesPinned) {
+  const Bytes key = to_bytes("pinned-link-key!");
+  SlidingWindowLink::Options oa, ob;
+  oa.epoch = 0x0123456789abcdefULL;
+  ob.epoch = 0xfedcba9876543210ULL;
+  ScriptedChannel ca, cb;
+  SlidingWindowLink a(ca, 2, 5, key, oa);
+  SlidingWindowLink b(cb, 5, 2, key, ob);
+  std::vector<Bytes> delivered;
+  b.set_deliver_callback([&](Bytes m) { delivered.push_back(std::move(m)); });
+  // Epoch bootstrap: a announces, b answers with an ack echoing a's epoch.
+  a.announce();
+  for (const Bytes& d : ca.sent) b.on_datagram(d);
+  for (const Bytes& d : cb.sent) a.on_datagram(d);
+  ca.sent.clear();
+  cb.sent.clear();
+  ASSERT_EQ(a.peer_epoch(), ob.epoch);
+
+  Bytes body(100);
+  for (std::size_t i = 0; i < body.size(); ++i) {
+    body[i] = static_cast<std::uint8_t>(i * 7 + 3);
+  }
+  a.send(body);
+  ASSERT_EQ(ca.sent.size(), 1u);
+  EXPECT_EQ(hex_encode(ca.sent[0]),
+            "010123456789abcdeffedcba9876543210000000000000000000000064030a11"
+            "181f262d343b424950575e656c737a81888f969da4abb2b9c0c7ced5dce3eaf1"
+            "f8ff060d141b222930373e454c535a61686f767d848b9299a0a7aeb5bcc3cad1"
+            "d8dfe6edf4fb020910171e252c333a41484f565d646b727980878e959ca3aab1"
+            "b8000000144f2969714460f892b085dd8763508aa7f0f3460c");
+  b.on_datagram(ca.sent[0]);
+  ASSERT_EQ(delivered, std::vector<Bytes>{body});
+  ASSERT_EQ(cb.sent.size(), 1u);
+  EXPECT_EQ(hex_encode(cb.sent[0]),
+            "02fedcba98765432100123456789abcdef000000000000000100000000000000"
+            "148bf9ad43ccc642fcbd4c4d1ae875339ac44f15db");
 }
 
 // --- Drop accounting: every rejected datagram lands in exactly one

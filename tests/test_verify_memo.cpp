@@ -101,7 +101,73 @@ TEST(VerifyMemo, AnyChangedInputMisses) {
   EXPECT_FALSE(hash_changed.ok);
   EXPECT_FALSE(hash_changed.hit);
 
+  const Bytes prefix(msg.begin(), msg.end() - 1);
+  const Check msg_prefix = check(memo, 1, key_a().pub, prefix, sig);
+  EXPECT_FALSE(msg_prefix.ok);
+  EXPECT_FALSE(msg_prefix.hit);
+
+  Bytes extended = msg;
+  extended.push_back(0x00);
+  const Check msg_extended = check(memo, 1, key_a().pub, extended, sig);
+  EXPECT_FALSE(msg_extended.ok);
+  EXPECT_FALSE(msg_extended.hit);
+
+  // Same low 8 bytes, so the same slot as the stored signature.
+  Bytes same_slot = sig;
+  same_slot[sig.size() / 2] ^= 0x01;
+  const Check slot_shared = check(memo, 1, key_a().pub, msg, same_slot);
+  EXPECT_FALSE(slot_shared.ok);
+  EXPECT_FALSE(slot_shared.hit);
+
   EXPECT_TRUE(check(memo, 1, key_a().pub, msg, sig).hit);
+}
+
+// Bundle statements carry up to 64 KiB.  However many are checked, the
+// entries never hold more than the budget, and one that did not fit is
+// verified again (and answered correctly), never taken from the memo.
+TEST(VerifyMemo, ByteBudgetBounded) {
+  VerifyMemo memo;
+  constexpr std::size_t kStatement = 64 * 1024;
+  constexpr int kStatements = 40;  // 2.5 MiB of messages
+  std::vector<Bytes> msgs, sigs;
+  for (int i = 0; i < kStatements; ++i) {
+    msgs.emplace_back(kStatement, static_cast<std::uint8_t>(i));
+    sigs.push_back(rsa_sign(key_a(), msgs.back()));
+    ASSERT_TRUE(check(memo, 0, key_a().pub, msgs.back(), sigs.back()).ok);
+    EXPECT_LE(memo.bytes_held(), VerifyMemo::kByteBudget);
+  }
+  EXPECT_GT(memo.bytes_held(), VerifyMemo::kByteBudget / 2);
+
+  int hits = 0;
+  int rechecked = 0;
+  for (int i = 0; i < kStatements; ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    const Check again = check(memo, 0, key_a().pub, msgs[k], sigs[k]);
+    EXPECT_TRUE(again.ok);
+    EXPECT_GT(again.work, 0u);
+    (again.hit ? hits : rechecked) += 1;
+    EXPECT_LE(memo.bytes_held(), VerifyMemo::kByteBudget);
+
+    // A forgery over the same statement is rejected either way.
+    Bytes forged = sigs[k];
+    forged[forged.size() / 2] ^= 0x20;
+    const Check bad = check(memo, 0, key_a().pub, msgs[k], forged);
+    EXPECT_FALSE(bad.ok);
+    EXPECT_FALSE(bad.hit);
+  }
+  EXPECT_GT(hits, 0);
+  EXPECT_GT(rechecked, 0);  // the budget held some statements out
+
+  // A statement bigger than the whole budget is never remembered.
+  const Bytes huge(VerifyMemo::kByteBudget + 1, 0x5a);
+  const Bytes huge_sig = rsa_sign(key_a(), huge);
+  const Check first = check(memo, 0, key_a().pub, huge, huge_sig);
+  const Check again = check(memo, 0, key_a().pub, huge, huge_sig);
+  EXPECT_TRUE(first.ok);
+  EXPECT_TRUE(again.ok);
+  EXPECT_FALSE(again.hit);
+  EXPECT_EQ(again.work, first.work);
+  EXPECT_LE(memo.bytes_held(), VerifyMemo::kByteBudget);
 }
 
 TEST(VerifyMemo, InvalidSignaturesAreNeverStored) {
