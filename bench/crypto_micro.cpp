@@ -89,6 +89,71 @@ void BM_Modexp(benchmark::State& state) {
 }
 BENCHMARK(BM_Modexp)->Arg(128)->Arg(256)->Arg(512)->Arg(1024);
 
+// The Montgomery kernels at 4, 8 and 16 limbs (fixed-width instances)
+// and 6 limbs (the runtime-width one).  Only whole exponentiations are
+// public, so each iteration is one that is nearly all one kernel:
+// base^(2^1024) is 1024 squarings plus 3 multiplications, and a comb
+// evaluation of a 1024-bit all-ones exponent is 256 multiplications plus
+// 1.  items_per_second counts kernel calls (scripts/bench_crypto.sh
+// turns it into ns per call).
+constexpr int kSquaringsPerOp = 1024;
+constexpr int kProductsPerOp = 256;
+
+BigInt kernel_modulus(int limbs) {
+  return (BigInt{1} << (64 * limbs)) - BigInt{189};
+}
+
+void BM_MontSqr(benchmark::State& state) {
+  const BigInt m = kernel_modulus(static_cast<int>(state.range(0)));
+  const bignum::Montgomery mont(m);
+  Rng rng(7);
+  const BigInt base = BigInt::random_below(rng, m);
+  const BigInt e = BigInt{1} << kSquaringsPerOp;
+  WorkTracker wt(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mont.pow(base, e));
+  }
+  state.SetItemsProcessed(state.iterations() * kSquaringsPerOp);
+}
+BENCHMARK(BM_MontSqr)->Arg(4)->Arg(8)->Arg(16)->Arg(6);
+
+void BM_MontMul(benchmark::State& state) {
+  const BigInt m = kernel_modulus(static_cast<int>(state.range(0)));
+  const bignum::Montgomery mont(m);
+  Rng rng(8);
+  const auto table = mont.precompute(BigInt::random_below(rng, m),
+                                     4 * kProductsPerOp);
+  const BigInt e = (BigInt{1} << (4 * kProductsPerOp)) - BigInt{1};
+  WorkTracker wt(state);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mont.pow(table, e));
+  }
+  state.SetItemsProcessed(state.iterations() * kProductsPerOp);
+}
+BENCHMARK(BM_MontMul)->Arg(4)->Arg(8)->Arg(16)->Arg(6);
+
+// One compression function call per iteration: a whole block fed to an
+// empty buffer is compressed straight from the input.
+template <typename Hash>
+void hash_block(benchmark::State& state) {
+  const Bytes block(Hash::kBlockSize, 0x61);
+  Hash h;
+  for (auto _ : state) {
+    h.update(block);
+  }
+  benchmark::DoNotOptimize(h.digest());
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(Hash::kBlockSize));
+}
+
+void BM_Sha1Block(benchmark::State& state) { hash_block<crypto::Sha1>(state); }
+BENCHMARK(BM_Sha1Block);
+
+void BM_Sha256Block(benchmark::State& state) {
+  hash_block<crypto::Sha256>(state);
+}
+BENCHMARK(BM_Sha256Block);
+
 // The frozen PR 1..7 32-bit limb layer (src/bignum/ref32.hpp), same inputs
 // as BM_Modexp.  Having both paths in one binary gives scripts/
 // bench_crypto.sh an honest same-machine wall-clock baseline for the
@@ -121,6 +186,7 @@ BENCHMARK(BM_ModexpRef32)->Arg(1024);
 void BM_RsaSignCrt(benchmark::State& state) {
   Fixture& fx =
       fixture(static_cast<int>(state.range(0)), crypto::SigImpl::kMultiSig);
+  WorkTracker wt(state);
   for (auto _ : state) {
     benchmark::DoNotOptimize(fx.deal.parties[0].sign(fx.msg));
   }
@@ -133,9 +199,11 @@ void BM_RsaVerify(benchmark::State& state) {
   const Bytes sig = fx.deal.parties[0].sign(fx.msg);
   // The plain check: PartyKeys::verify_party_sig would answer every
   // repeat from the party's verification memo.
-  const crypto::RsaPublicKey& pub = fx.deal.parties[0].own_rsa->pub;
+  const crypto::RsaVerifier verifier(fx.deal.parties[0].own_rsa->pub);
+  WorkTracker wt(state);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(crypto::rsa_verify(pub, fx.msg, sig));
+    benchmark::DoNotOptimize(
+        verifier.verify(fx.msg, sig, fx.deal.parties[0].hash));
   }
 }
 BENCHMARK(BM_RsaVerify)->Arg(512)->Arg(1024);
@@ -560,7 +628,7 @@ void BM_VerifyMemoHit(benchmark::State& state) {
   Fixture& fx = fixture(1024, crypto::SigImpl::kMultiSig);
   const Bytes msg(static_cast<std::size_t>(state.range(0)), 0x33);
   const Bytes sig = fx.deal.parties[0].sign(msg);
-  const crypto::RsaPublicKey& pub = fx.deal.parties[0].own_rsa->pub;
+  const crypto::RsaVerifier pub(fx.deal.parties[0].own_rsa->pub);
   crypto::VerifyMemo memo;
   benchmark::DoNotOptimize(
       memo.verify(0, pub, msg, sig, fx.deal.parties[0].hash));  // the miss

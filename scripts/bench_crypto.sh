@@ -29,9 +29,13 @@ trap 'rm -f "$raw"' EXIT
   --benchmark_out_format=json
 
 # Bench context: this tree's build type (not google-benchmark's own) and
-# the commit measured; null outside a git checkout.
+# the commit measured, marked "+dirty" when the working tree differs from
+# it; null outside a git checkout.
 build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' "$build_dir/CMakeCache.txt")"
 commit="$(git -C "$repo_root" rev-parse HEAD 2>/dev/null || true)"
+if [[ -n "$commit" ]] && ! git -C "$repo_root" diff --quiet HEAD; then
+  commit+="+dirty"
+fi
 
 python3 - "$raw" "$build_dir/BENCH_crypto.json" \
   "$repo_root/scripts/bench_baselines.json" "$build_type" "$commit" <<'PY'
@@ -48,6 +52,7 @@ with open(raw_path) as f:
     raw = json.load(f)
 
 benchmarks = {}
+kernel_ns = {}
 for b in raw.get("benchmarks", []):
     if b.get("run_type") == "aggregate":
         continue
@@ -55,6 +60,12 @@ for b in raw.get("benchmarks", []):
         "ns_per_op": round(b["real_time"], 1),
         "work_units_per_op": round(b.get("work_per_op", 0.0)),
     }
+    # BM_MontSqr/BM_MontMul count kernel calls as items; the hash block
+    # benchmarks are one compression per op.
+    if b.get("items_per_second"):
+        kernel_ns[b["name"]] = round(1e9 / b["items_per_second"], 1)
+    elif b["name"].endswith("Block"):
+        kernel_ns[b["name"]] = round(b["real_time"], 1)
 
 def ratio(seed, fast):
     s, f = benchmarks.get(seed), benchmarks.get(fast)
@@ -76,6 +87,9 @@ out = {
         "group": "dl_p=1024, dl_q=160, n=4, t=1, hash=sha1",
     },
     "benchmarks": benchmarks,
+    # ns per Montgomery kernel call (4/8/16 limbs: fixed-width instances,
+    # 6: the runtime-width one) and per hash compression.
+    "kernel_ns_per_call": kernel_ns,
     "speedups_work_units": {
         "dleq_verify": ratio("BM_DleqVerifySeed", "BM_DleqVerifyFast"),
         "coin_share_verify": ratio("BM_CoinShareVerifySeed",

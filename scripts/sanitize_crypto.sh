@@ -41,14 +41,15 @@ else
   # covers the bignum suites (BigInt/Montgomery/MultiExp/FixedBase/
   # Karatsuba/Prime), the crypto-layer suites built on them (including
   # batch DLEQ verification, the optimistic combine-first paths, the
-  # worker pool, and SHA/HMAC with the keyed link-MAC state), and the net
-  # subsystem (event loop, UDP transport, sliding-window link, 4-process
-  # clusters).
+  # worker pool, and SHA/HMAC with the keyed link-MAC state), the client
+  # wire format and gateway (stack-built MAC statements, per-client keyed
+  # MAC state), and the net subsystem (event loop, UDP transport,
+  # sliding-window link, 4-process clusters).
   filter='BigInt|BignumDiff|KnuthD|Montgomery|MultiExp|FixedBase|GroupCache'
   filter+='|Karatsuba|Prime'
   filter+='|Rsa|VerifyMemo|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
   filter+='|ThresholdSig|Coin|Tdh2|Optimistic|WorkPool'
-  filter+='|Dealer|Hash|Sha|Hmac|Aes'
+  filter+='|Dealer|Hash|Sha|Hmac|Aes|ClientGateway|ClientWire'
   filter+='|EventLoop|UdpSocket|NetEnvironment|SlidingWindow|LocalCluster'
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"

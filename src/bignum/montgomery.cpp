@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <stdexcept>
+#include <type_traits>
 
 namespace sintra::bignum {
 
@@ -26,18 +27,16 @@ Limb inv64(Limb x) {
   return y;
 }
 
-// Fixed-capacity scratch for the single-multiplication helpers: one CIOS
-// accumulator (n+1 limbs used, one spare) plus one result row, sized for
-// kMaxModulusBits.  Lives on the stack of each helper — the hot path
-// performs zero heap allocations per multiply.
-constexpr std::size_t kMaxLimbs = kMaxModulusBits / 64;       // 64
-constexpr std::size_t kScratchCap = kMaxLimbs + 2;            // t buffer
+// Capacity of the fixed-size limb arrays (kernel scratch, single-product
+// helpers), sized for kMaxModulusBits.  They live on the stack, so the
+// hot path performs zero heap allocations per multiply.
+constexpr std::size_t kMaxLimbs = kMaxModulusBits / 64;  // 64
 
-// Exponentiation working set (window table + accumulator + temporaries).
-// Sized so a full 16-entry window table for a 4096-bit modulus fits on the
-// stack (16n + n + n+2 = 1154 limbs at n = 64); only the multi-base
-// simul_pow working sets (up to kSimulPowMax tables) can exceed it, and
-// those reuse one thread-local buffer, so no path pays a per-call heap
+// Exponentiation working set (window table + accumulator).  Sized so a
+// full 16-entry window table for a 4096-bit modulus fits on the stack
+// (16n + n = 1088 limbs at n = 64); only the multi-base simul_pow
+// working sets (up to kSimulPowMax tables) can exceed it, and those
+// reuse one thread-local buffer, so no path pays a per-call heap
 // allocation after warm-up.
 constexpr std::size_t kStackLimbs = 1280;  // 10 KiB
 
@@ -85,6 +84,7 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
         "Montgomery: modulus wider than 4096 bits (kMaxModulusBits bounds "
         "the fixed-capacity scratch buffers)");
   m_ = modulus.limbs();
+  kernel_width_ = m_.size();
   m0inv_ = static_cast<Limb>(0) - inv64(m_[0]);
   const int n = static_cast<int>(m_.size());
   // R^2 mod m with R = 2^(64n).
@@ -96,31 +96,87 @@ Montgomery::Montgomery(const BigInt& modulus) : modulus_(modulus) {
   one_.resize(m_.size(), 0);
 }
 
-void Montgomery::mmul(Limb* out, const Limb* a, const Limb* b,
-                      Limb* t) const {
-  const std::size_t n = m_.size();
-  g_work += kLimbWorkScale * static_cast<std::uint64_t>(n) * n;
-  // Fused CIOS: one outer pass per limb of a; the multiply row
-  // (t += a[i]*b) and the reduction row (t += mi*m, t >>= 64) share a
-  // single inner loop with two running carries.  Invariant: the t value
-  // entering and leaving each outer iteration is < 2m, so t occupies n
-  // limbs plus a top limb t[n] in {0, 1} — no intermediate normalization
-  // is ever needed (bounds walked through in docs/CRYPTO.md).
-  std::fill(t, t + n + 2, 0u);
+namespace {
+
+// The kernels below are written once, as templates on the limb count N.
+// N = kRuntimeWidth is the instance that reads the width from its
+// argument instead; every other N is a fixed-width instance whose loops
+// the compiler unrolls, so its carries and scratch limbs stay in
+// registers.  Both kinds run the same statements in the same order, so
+// they return the same limbs.
+constexpr std::size_t kRuntimeWidth = 0;
+
+template <std::size_t N>
+constexpr std::size_t kCap = N != kRuntimeWidth ? N : kMaxLimbs;
+
+// Calls f with the kernel instance for a modulus of `limbs` limbs: a
+// fixed-width one for 256-, 512- and 1024-bit moduli (4, 8, 16 limbs;
+// the CRT halves of 512- and 1024-bit RSA keys, 512-bit RSA moduli,
+// 1024-bit RSA moduli and DL groups), the runtime-width one otherwise.
+template <typename F>
+void with_kernel_width(std::size_t limbs, F&& f) {
+  switch (limbs) {
+    case 4: return f(std::integral_constant<std::size_t, 4>{});
+    case 8: return f(std::integral_constant<std::size_t, 8>{});
+    case 16: return f(std::integral_constant<std::size_t, 16>{});
+    default: return f(std::integral_constant<std::size_t, kRuntimeWidth>{});
+  }
+}
+
+// out = t - m if top:t >= m, else t, for a value below 2m.  The select
+// is a mask, not a branch.  out may alias anything but t.  Always
+// inlined: a call would need t's address, keeping the kernel's state
+// array in memory.
+template <std::size_t N>
+[[gnu::always_inline]] inline void subtract_if_ge(Limb* out, const Limb* t,
+                                                  Limb top, const Limb* m,
+                                                  std::size_t n) {
+  Limb d[kCap<N>];
+  Limb borrow = 0;
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < n; ++i) {
+    const Wide diff = static_cast<Wide>(t[i]) - m[i] - borrow;
+    d[i] = static_cast<Limb>(diff);
+    borrow = static_cast<Limb>(diff >> 64) & 1;
+  }
+  // t < m exactly when the subtraction borrows out of limb n-1 and the
+  // top limb (0 or 1) cannot absorb it.
+  const Limb keep_t = static_cast<Limb>(0) - (borrow & (top ^ 1));
+#pragma GCC unroll 16
+  for (std::size_t i = 0; i < n; ++i) {
+    out[i] = (t[i] & keep_t) | (d[i] & ~keep_t);
+  }
+}
+
+// out = a*b*R^-1 mod m, fused CIOS.  One outer pass per limb of a; the
+// multiply row (t += a[i]*b) and the reduction row (t += mi*m, t >>= 64)
+// share one inner loop with two running carries.  Invariant: the t value
+// entering and leaving each outer iteration is < 2m, so t occupies n
+// limbs plus a top limb t[n] in {0, 1} and needs no intermediate
+// normalization (bounds walked through in docs/CRYPTO.md).  out may alias
+// a and/or b.
+template <std::size_t N>
+void cios_mul(Limb* out, const Limb* a, const Limb* b, const Limb* m,
+              Limb m0inv, std::size_t width) {
+  const std::size_t n = N != kRuntimeWidth ? N : width;
+  Limb t[kCap<N> + 1];
+  std::fill(t, t + n + 1, Limb{0});
+#pragma GCC unroll 8
   for (std::size_t i = 0; i < n; ++i) {
     const Limb ai = a[i];
     // Column 0 decides the reduction multiplier mi, and its reduced limb
     // is exactly zero by construction of m0inv, so it is never stored.
     const Wide p0 = static_cast<Wide>(ai) * b[0] + t[0];
-    const Limb mi = static_cast<Limb>(p0) * m0inv_;
-    const Wide r0 = static_cast<Wide>(mi) * m_[0] + static_cast<Limb>(p0);
+    const Limb mi = static_cast<Limb>(p0) * m0inv;
+    const Wide r0 = static_cast<Wide>(mi) * m[0] + static_cast<Limb>(p0);
     Limb carry_mul = static_cast<Limb>(p0 >> 64);
     Limb carry_red = static_cast<Limb>(r0 >> 64);
+#pragma GCC unroll 16
     for (std::size_t j = 1; j < n; ++j) {
       const Wide p = static_cast<Wide>(ai) * b[j] + t[j] + carry_mul;
       carry_mul = static_cast<Limb>(p >> 64);
       const Wide r =
-          static_cast<Wide>(mi) * m_[j] + static_cast<Limb>(p) + carry_red;
+          static_cast<Wide>(mi) * m[j] + static_cast<Limb>(p) + carry_red;
       t[j - 1] = static_cast<Limb>(r);
       carry_red = static_cast<Limb>(r >> 64);
     }
@@ -128,43 +184,24 @@ void Montgomery::mmul(Limb* out, const Limb* a, const Limb* b,
     t[n - 1] = static_cast<Limb>(s);
     t[n] = static_cast<Limb>(s >> 64);  // in {0, 1}
   }
-  // Conditional subtraction: t may be in [0, 2m).
-  bool ge = t[n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m_[i]) {
-        ge = t[i] > m_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Limb ti = t[i];
-      const Limb d = ti - m_[i] - borrow;
-      borrow = (static_cast<Wide>(m_[i]) + borrow > ti) ? 1 : 0;
-      out[i] = d;
-    }
-  } else {
-    std::copy(t, t + n, out);
-  }
+  subtract_if_ge<N>(out, t, t[n], m, n);
 }
 
-void Montgomery::msqr(Limb* out, const Limb* a) const {
-  const std::size_t n = m_.size();
-  g_work += kLimbWorkScale * static_cast<std::uint64_t>(n) * n;
-  // SOS squaring: full double-width square first (cross products computed
-  // once, then doubled, then the diagonal squares added), followed by n
-  // Montgomery reduction rows.  1.5n^2 + O(n) limb products vs the 2n^2
-  // of mmul.  r needs 2n+1 limbs: the square fills 2n, and the reduction
-  // carries can reach one bit into limb 2n (a^2 + m*floor-term < 2^(128n+1)).
-  Limb r[2 * kMaxLimbs + 1];
-  std::fill(r, r + 2 * n + 1, 0u);
+// out = a*a*R^-1 mod m, SOS: the full double-width square first (cross
+// products computed once, then doubled, plus the diagonal squares), then
+// n Montgomery reduction rows.  1.5n^2 + O(n) limb products against the
+// 2n^2 of cios_mul.  out may alias a.
+template <std::size_t N>
+void sos_sqr(Limb* out, const Limb* a, const Limb* m, Limb m0inv,
+             std::size_t width) {
+  const std::size_t n = N != kRuntimeWidth ? N : width;
+  Limb r[2 * kCap<N>];
+  std::fill(r, r + 2 * n, Limb{0});
+#pragma GCC unroll 8
   for (std::size_t i = 0; i + 1 < n; ++i) {
     const Limb ai = a[i];
     Limb carry = 0;
+#pragma GCC unroll 16
     for (std::size_t j = i + 1; j < n; ++j) {
       const Wide cur = static_cast<Wide>(ai) * a[j] + r[i + j] + carry;
       r[i + j] = static_cast<Limb>(cur);
@@ -172,73 +209,77 @@ void Montgomery::msqr(Limb* out, const Limb* a) const {
     }
     r[i + n] = carry;
   }
-  // Double the cross terms.  2*cross < a^2 < 2^(128n), so the shift-out of
-  // limb 2n-1 is always zero.
+  // Double the cross terms and add the diagonal a[i]^2 at bit 128*i, one
+  // limb pair per step.  2*cross < a^2 < 2^(128n), so no bit leaves
+  // limb 2n-1.
   Limb topbit = 0;
-  for (std::size_t i = 0; i < 2 * n; ++i) {
-    const Limb v = r[i];
-    r[i] = (v << 1) | topbit;
-    topbit = v >> 63;
-  }
-  // Add the diagonal a[i]^2 at bit position 128*i.
   Limb carry = 0;
+#pragma GCC unroll 16
   for (std::size_t i = 0; i < n; ++i) {
+    const Limb lo = r[2 * i];
+    const Limb hi = r[2 * i + 1];
     const Wide sq = static_cast<Wide>(a[i]) * a[i];
-    const Wide lo_sum =
-        static_cast<Wide>(r[2 * i]) + static_cast<Limb>(sq) + carry;
-    r[2 * i] = static_cast<Limb>(lo_sum);
-    const Wide hi_sum = static_cast<Wide>(r[2 * i + 1]) +
-                        static_cast<Limb>(sq >> 64) +
-                        static_cast<Limb>(lo_sum >> 64);
-    r[2 * i + 1] = static_cast<Limb>(hi_sum);
-    carry = static_cast<Limb>(hi_sum >> 64);
+    const Wide s0 = static_cast<Wide>((lo << 1) | topbit) +
+                    static_cast<Limb>(sq) + carry;
+    const Wide s1 = static_cast<Wide>((hi << 1) | (lo >> 63)) +
+                    static_cast<Limb>(sq >> 64) + static_cast<Limb>(s0 >> 64);
+    topbit = hi >> 63;
+    r[2 * i] = static_cast<Limb>(s0);
+    r[2 * i + 1] = static_cast<Limb>(s1);
+    carry = static_cast<Limb>(s1 >> 64);
   }
-  // Reduction: zero the low n limbs one at a time, exactly as in CIOS.
+  // Reduction: zero the low n limbs one row at a time, exactly as in
+  // CIOS.  A row's carry out of limb i+n is held in `top` and added at
+  // limb i+n+1 by the next row, which no earlier row has written yet;
+  // after the last row it is limb 2n of the result (a^2 + m*sum < 2^(128n+1),
+  // so one bit).
+  Limb top = 0;
+#pragma GCC unroll 8
   for (std::size_t i = 0; i < n; ++i) {
-    const Limb mi = r[i] * m0inv_;
+    const Limb mi = r[i] * m0inv;
     Limb c = 0;
+#pragma GCC unroll 16
     for (std::size_t j = 0; j < n; ++j) {
-      const Wide cur = static_cast<Wide>(mi) * m_[j] + r[i + j] + c;
+      const Wide cur = static_cast<Wide>(mi) * m[j] + r[i + j] + c;
       r[i + j] = static_cast<Limb>(cur);
       c = static_cast<Limb>(cur >> 64);
     }
-    for (std::size_t k = i + n; c != 0; ++k) {
-      const Wide cur = static_cast<Wide>(r[k]) + c;
-      r[k] = static_cast<Limb>(cur);
-      c = static_cast<Limb>(cur >> 64);
-    }
+    const Wide s = static_cast<Wide>(r[i + n]) + c + top;
+    r[i + n] = static_cast<Limb>(s);
+    top = static_cast<Limb>(s >> 64);
   }
-  // Result is r[n..2n] < 2m with r[2n] in {0, 1}; same conditional
-  // subtraction as mmul.
-  const Limb* t = r + n;
-  bool ge = r[2 * n] != 0;
-  if (!ge) {
-    ge = true;
-    for (std::size_t i = n; i-- > 0;) {
-      if (t[i] != m_[i]) {
-        ge = t[i] > m_[i];
-        break;
-      }
-    }
-  }
-  if (ge) {
-    Limb borrow = 0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const Limb ti = t[i];
-      const Limb d = ti - m_[i] - borrow;
-      borrow = (static_cast<Wide>(m_[i]) + borrow > ti) ? 1 : 0;
-      out[i] = d;
-    }
-  } else {
-    std::copy(t, t + n, out);
-  }
+  // The result top:r[n..2n) is < 2m; same final step as cios_mul.
+  subtract_if_ge<N>(out, r + n, top, m, n);
+}
+
+}  // namespace
+
+void Montgomery::mmul(Limb* out, const Limb* a, const Limb* b) const {
+  const std::size_t n = m_.size();
+  g_work += kLimbWorkScale * static_cast<std::uint64_t>(n) * n;
+  with_kernel_width(kernel_width_, [&](auto w) {
+    cios_mul<decltype(w)::value>(out, a, b, m_.data(), m0inv_, n);
+  });
+}
+
+void Montgomery::msqr(Limb* out, const Limb* a) const {
+  const std::size_t n = m_.size();
+  g_work += kLimbWorkScale * static_cast<std::uint64_t>(n) * n;
+  with_kernel_width(kernel_width_, [&](auto w) {
+    sos_sqr<decltype(w)::value>(out, a, m_.data(), m0inv_, n);
+  });
+}
+
+Montgomery Montgomery::with_runtime_width() const {
+  Montgomery copy = *this;
+  copy.kernel_width_ = kRuntimeWidth;
+  return copy;
 }
 
 Montgomery::Limbs Montgomery::mont_mul(const Limbs& a, const Limbs& b) const {
   const std::size_t n = m_.size();
   Limbs out(n);
-  Limb t[kScratchCap];
-  mmul(out.data(), a.data(), b.data(), t);
+  mmul(out.data(), a.data(), b.data());
   return out;
 }
 
@@ -248,10 +289,10 @@ Montgomery::Limbs Montgomery::to_mont(const BigInt& a) const {
   return mont_mul(al, r2_);
 }
 
-void Montgomery::to_mont_into(Limb* out, const BigInt& a, Limb* t) const {
+void Montgomery::to_mont_into(Limb* out, const BigInt& a) const {
   Limbs al = a.mod(modulus_).limbs();
   al.resize(m_.size(), 0);
-  mmul(out, al.data(), r2_.data(), t);
+  mmul(out, al.data(), r2_.data());
 }
 
 BigInt Montgomery::from_mont(const Limbs& a) const {
@@ -265,8 +306,7 @@ BigInt Montgomery::from_mont_raw(const Limb* a) const {
   Limb unit[kMaxLimbs] = {};
   unit[0] = 1;
   Limb out[kMaxLimbs];
-  Limb t[kScratchCap];
-  mmul(out, a, unit, t);
+  mmul(out, a, unit);
   return BigInt::from_limbs(Limbs(out, out + n));
 }
 
@@ -275,11 +315,11 @@ BigInt Montgomery::mul(const BigInt& a, const BigInt& b) const {
 }
 
 void Montgomery::build_window_table(Limb* table, const Limb* basemont,
-                                    int max_digit, Limb* t) const {
+                                    int max_digit) const {
   const std::size_t n = m_.size();
   for (int d = 2; d <= max_digit; ++d) {
     mmul(table + static_cast<std::size_t>(d) * n,
-         table + static_cast<std::size_t>(d - 1) * n, basemont, t);
+         table + static_cast<std::size_t>(d - 1) * n, basemont);
   }
 }
 
@@ -292,13 +332,12 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
   // the table they use.
   const int maxd = max_window_digit(exp);
   const std::size_t table_limbs = static_cast<std::size_t>(maxd + 1) * n;
-  Workspace ws(table_limbs + 2 * n + (n + 2));
+  Workspace ws(table_limbs + n);
   Limb* table = ws.p;
   Limb* acc = table + table_limbs;
-  Limb* t = acc + n;  // n+2 limbs, followed by nothing
   // table[1] = base in Montgomery form; table[2..maxd] by one mult each.
-  to_mont_into(table + n, base, t);
-  build_window_table(table, table + n, maxd, t);
+  to_mont_into(table + n, base);
+  build_window_table(table, table + n, maxd);
 
   const int bits = exp.bit_length();
   const int windows = (bits + 3) / 4;
@@ -313,7 +352,7 @@ BigInt Montgomery::pow(const BigInt& base, const BigInt& exp) const {
     }
     const auto digit = exp.bits_window(4 * w, 4);
     if (digit != 0) {
-      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n, t);
+      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n);
       started = true;
     }
   }
@@ -338,15 +377,14 @@ BigInt Montgomery::simul_pow(const std::pair<BigInt, BigInt>* terms,
   }
   if (bits == 0) return BigInt{1}.mod(modulus_);
 
-  Workspace ws(table_limbs + 2 * n + (n + 2));
+  Workspace ws(table_limbs + n);
   Limb* tables = ws.p;
   Limb* acc = tables + table_limbs;
-  Limb* t = acc + n;
   for (std::size_t i = 0; i < count; ++i) {
     if (maxd[i] == 0) continue;  // zero exponent contributes nothing
     Limb* table = tables + offset[i];
-    to_mont_into(table + n, terms[i].first, t);
-    build_window_table(table, table + n, maxd[i], t);
+    to_mont_into(table + n, terms[i].first);
+    build_window_table(table, table + n, maxd[i]);
   }
 
   const int windows = (bits + 3) / 4;
@@ -362,8 +400,8 @@ BigInt Montgomery::simul_pow(const std::pair<BigInt, BigInt>* terms,
     for (std::size_t i = 0; i < count; ++i) {
       const auto digit = terms[i].second.bits_window(4 * w, 4);
       if (digit != 0) {
-        mmul(acc, acc, tables + offset[i] + static_cast<std::size_t>(digit) * n,
-             t);
+        mmul(acc, acc,
+             tables + offset[i] + static_cast<std::size_t>(digit) * n);
         started = true;
       }
     }
@@ -448,14 +486,13 @@ FixedBaseTable Montgomery::precompute(const BigInt& base, int max_exp_bits,
   out.entries_.assign(static_cast<std::size_t>(out.windows_) *
                           static_cast<std::size_t>(digits) * n,
                       0);
-  Limb t[kScratchCap];
   auto entry = [&](int j, int d) -> Limb* {
     return out.entries_.data() +
            (static_cast<std::size_t>(j) * static_cast<std::size_t>(digits) +
             static_cast<std::size_t>(d)) *
                n;
   };
-  to_mont_into(entry(0, 1), base, t);
+  to_mont_into(entry(0, 1), base);
   for (int j = 0; j < out.windows_; ++j) {
     if (j > 0) {
       // base^(D^j) = (base^(D^(j-1)))^D: window_bits squarings.
@@ -463,7 +500,7 @@ FixedBaseTable Montgomery::precompute(const BigInt& base, int max_exp_bits,
       for (int s = 0; s < window_bits; ++s) msqr(entry(j, 1), entry(j, 1));
     }
     for (int d = 2; d < digits; ++d) {
-      mmul(entry(j, d), entry(j, d - 1), entry(j, 1), t);
+      mmul(entry(j, d), entry(j, d - 1), entry(j, 1));
     }
   }
   return out;
@@ -475,7 +512,7 @@ bool Montgomery::accepts(const FixedBaseTable& table, const BigInt& e) const {
 }
 
 void Montgomery::comb_mul_into(Limb* acc, const FixedBaseTable& table,
-                               const BigInt& e, Limb* t) const {
+                               const BigInt& e) const {
   const std::size_t n = m_.size();
   const int w = table.window_bits_;
   const auto digits = static_cast<std::size_t>(1) << w;
@@ -486,8 +523,7 @@ void Montgomery::comb_mul_into(Limb* acc, const FixedBaseTable& table,
       mmul(acc,
            acc,
            table.entries_.data() +
-               (static_cast<std::size_t>(j) * digits + digit) * n,
-           t);
+               (static_cast<std::size_t>(j) * digits + digit) * n);
     }
   }
 }
@@ -496,9 +532,8 @@ BigInt Montgomery::pow(const FixedBaseTable& table, const BigInt& e) const {
   if (e.is_zero()) return BigInt{1}.mod(modulus_);
   if (!accepts(table, e)) return pow(table.base_, e);
   Limb acc[kMaxLimbs];
-  Limb t[kScratchCap];
   std::copy(one_.begin(), one_.end(), acc);
-  comb_mul_into(acc, table, e, t);
+  comb_mul_into(acc, table, e);
   return from_mont_raw(acc);
 }
 
@@ -512,10 +547,9 @@ BigInt Montgomery::mul_pow(const FixedBaseTable& ta, const BigInt& ea,
   if (ea.is_zero()) return pow(tb, eb);
   if (eb.is_zero()) return pow(ta, ea);
   Limb acc[kMaxLimbs];
-  Limb t[kScratchCap];
   std::copy(one_.begin(), one_.end(), acc);
-  comb_mul_into(acc, ta, ea, t);
-  comb_mul_into(acc, tb, eb, t);
+  comb_mul_into(acc, ta, ea);
+  comb_mul_into(acc, tb, eb);
   return from_mont_raw(acc);
 }
 
@@ -531,12 +565,11 @@ BigInt Montgomery::mul_pow(const FixedBaseTable& ta, const BigInt& ea,
   const std::size_t n = m_.size();
   const int maxd = max_window_digit(eb);
   const std::size_t table_limbs = static_cast<std::size_t>(maxd + 1) * n;
-  Workspace ws(table_limbs + 2 * n + (n + 2));
+  Workspace ws(table_limbs + n);
   Limb* table = ws.p;
   Limb* acc = table + table_limbs;
-  Limb* t = acc + n;
-  to_mont_into(table + n, b, t);
-  build_window_table(table, table + n, maxd, t);
+  to_mont_into(table + n, b);
+  build_window_table(table, table + n, maxd);
 
   const int windows = (eb.bit_length() + 3) / 4;
   std::copy(one_.begin(), one_.end(), acc);
@@ -550,12 +583,12 @@ BigInt Montgomery::mul_pow(const FixedBaseTable& ta, const BigInt& ea,
     }
     const auto digit = eb.bits_window(4 * w, 4);
     if (digit != 0) {
-      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n, t);
+      mmul(acc, acc, table + static_cast<std::size_t>(digit) * n);
       started = true;
     }
   }
   if (!started) std::copy(one_.begin(), one_.end(), acc);
-  comb_mul_into(acc, ta, ea, t);
+  comb_mul_into(acc, ta, ea);
   return from_mont_raw(acc);
 }
 

@@ -7,7 +7,10 @@
 // the reduction row in ONE inner loop with two running carries and no
 // intermediate normalization, using `unsigned __int128` products
 // (docs/CRYPTO.md walks through the algorithm and its bounds; the 32-bit
-// predecessor is frozen in ref32.hpp for differential tests).
+// predecessor is frozen in ref32.hpp for differential tests).  The
+// multiply and square kernels are one template on the limb count, with
+// fixed-width instances for 4-, 8- and 16-limb moduli and a runtime-width
+// instance for every other width.
 //
 // Beyond plain `pow`, the context offers the fast-path entry points that
 // the threshold-crypto stack is built on:
@@ -174,15 +177,21 @@ class Montgomery {
   [[nodiscard]] BigInt mul_pow(const FixedBaseTable& ta, const BigInt& ea,
                                const BigInt& b, const BigInt& eb) const;
 
+  /// The same context with every multiplication and squaring on the
+  /// runtime-width kernel instance, even where a fixed-width one exists.
+  /// Results and work units are the same by construction; the
+  /// differential tests check that they are.
+  [[nodiscard]] Montgomery with_runtime_width() const;
+
  private:
   using Limb = std::uint64_t;
   using Limbs = std::vector<Limb>;
 
   [[nodiscard]] Limbs to_mont(const BigInt& a) const;
   [[nodiscard]] BigInt from_mont(const Limbs& a) const;
-  /// out = a*b*R^-1 mod m (fused CIOS) over raw n-limb arrays; t is n+2
-  /// limbs of scratch.  out may alias a and/or b.
-  void mmul(Limb* out, const Limb* a, const Limb* b, Limb* t) const;
+  /// out = a*b*R^-1 mod m (fused CIOS) over raw n-limb arrays.  out may
+  /// alias a and/or b.
+  void mmul(Limb* out, const Limb* a, const Limb* b) const;
   /// out = a*a*R^-1 mod m.  Exploits product symmetry (cross terms computed
   /// once and doubled), ~25% fewer limb products than mmul; used for the
   /// squaring chains that dominate every exponentiation ladder.  Charges
@@ -193,16 +202,16 @@ class Montgomery {
   void msqr(Limb* out, const Limb* a) const;
   [[nodiscard]] Limbs mont_mul(const Limbs& a, const Limbs& b) const;
   /// Writes the Montgomery form of a into out (n limbs).
-  void to_mont_into(Limb* out, const BigInt& a, Limb* t) const;
+  void to_mont_into(Limb* out, const BigInt& a) const;
   [[nodiscard]] BigInt from_mont_raw(const Limb* a) const;
   /// Fills table entries d = 2..max_digit with basemont^d (entry 1 must
   /// already hold basemont; entry 0 is never read).
-  void build_window_table(Limb* table, const Limb* basemont, int max_digit,
-                          Limb* t) const;
+  void build_window_table(Limb* table, const Limb* basemont,
+                          int max_digit) const;
   /// acc *= table-eval of e (both in Montgomery form); the comb needs no
   /// squarings.
-  void comb_mul_into(Limb* acc, const FixedBaseTable& table, const BigInt& e,
-                     Limb* t) const;
+  void comb_mul_into(Limb* acc, const FixedBaseTable& table,
+                     const BigInt& e) const;
   [[nodiscard]] bool accepts(const FixedBaseTable& table,
                              const BigInt& e) const;
   /// Hard cap on terms per shared squaring chain (sizes the fixed stack
@@ -226,6 +235,9 @@ class Montgomery {
   Limb m0inv_;            // -m^{-1} mod 2^64
   Limbs r2_;              // R^2 mod m, for conversion into Montgomery form
   Limbs one_;             // R mod m (Montgomery representation of 1)
+  // Limb count that selects the mmul/msqr kernel instance: m_.size(), or
+  // 0 for the runtime-width instance (with_runtime_width).
+  std::size_t kernel_width_ = 0;
 };
 
 }  // namespace sintra::bignum

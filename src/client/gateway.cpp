@@ -81,6 +81,23 @@ void ClientGateway::mark_executed(ClientState& cs, std::uint64_t seq) {
   }
 }
 
+template <typename Check>
+bool ClientGateway::authenticate(std::uint32_t id, Check&& check) {
+  if (const auto it = macs_.find(id); it != macs_.end()) {
+    return check(it->second);
+  }
+  ClientMac mac(keys_.key(id));
+  if (!check(mac)) return false;
+  macs_.emplace(id, std::move(mac));
+  return true;
+}
+
+const ClientMac& ClientGateway::client_mac(std::uint32_t id) {
+  auto it = macs_.find(id);
+  if (it == macs_.end()) it = macs_.emplace(id, ClientMac(keys_.key(id))).first;
+  return it->second;
+}
+
 void ClientGateway::set_pending_gauge() {
   pending_depth_.set(static_cast<double>(pending_total_));
 }
@@ -88,7 +105,7 @@ void ClientGateway::set_pending_gauge() {
 void ClientGateway::send_reply(std::uint32_t client_id, ClientState& cs,
                                const ReplyFrame& frame) {
   if (!reply_) return;
-  Bytes dgram = encode_reply(frame, keys_.key(client_id));
+  Bytes dgram = encode_reply(frame, client_mac(client_id));
   if (frame.status == Status::kOk) {
     // Cache the wire-ready bytes so a retransmitted request gets the
     // same authoritative answer without re-execution.  This holds even
@@ -127,8 +144,11 @@ void ClientGateway::on_request_datagram(BytesView datagram,
     rejected_auth_.inc();
     return;
   }
-  const auto req = decode_request(datagram, keys_.key(*id));
-  if (!req) {
+  std::optional<RequestFrame> req;
+  if (!authenticate(*id, [&](const ClientMac& mac) {
+        req = decode_request(datagram, mac);
+        return req.has_value();
+      })) {
     rejected_auth_.inc();
     return;
   }
@@ -195,7 +215,7 @@ void ClientGateway::on_request_datagram(BytesView datagram,
   w.client_id = *id;
   w.seq = req->seq;
   w.payload = req->payload;
-  w.mac = request_mac(*id, req->seq, req->payload, keys_.key(*id));
+  w.mac = request_mac(*id, req->seq, req->payload, client_mac(*id));
   if (!submit_ || !submit_(wrap_request(w))) {
     shed_.inc();
     reject(*id, cs, req->seq, Status::kOverloaded);
@@ -277,9 +297,10 @@ ClientGateway::on_delivered(BytesView channel_payload) {
     // Byzantine replica cannot fabricate entries for registered
     // clients without their keys.  Deterministic across replicas
     // because the key table is shared.
-    const Bytes expect = request_mac(w->client_id, w->seq, w->payload,
-                                     keys_.key(w->client_id));
-    if (!ct_equal(w->mac, expect)) {
+    if (!authenticate(w->client_id, [&](const ClientMac& mac) {
+          return ct_equal(w->mac, request_mac(w->client_id, w->seq,
+                                              w->payload, mac));
+        })) {
       rejected_auth_.inc();
       return std::nullopt;
     }

@@ -80,7 +80,10 @@ class ClientGateway {
 
   ClientGateway(Options opts, ClockFn clock);
 
-  void set_key_table(KeyTable table) { keys_ = std::move(table); }
+  void set_key_table(KeyTable table) {
+    keys_ = std::move(table);
+    macs_.clear();
+  }
   void set_submit(SubmitFn fn) { submit_ = std::move(fn); }
   void set_reply(ReplyFn fn) { reply_ = std::move(fn); }
 
@@ -166,10 +169,21 @@ class ClientGateway {
   void release(ClientState& cs, std::uint64_t seq);
   void drain_local_queue();
   void set_pending_gauge();
+  /// Runs `check` under the keyed MAC state of known client `id`.  The
+  /// state is kept for later frames only once a MAC has verified under
+  /// it, so datagrams forged for every registered id cannot grow macs_.
+  template <typename Check>
+  bool authenticate(std::uint32_t id, Check&& check);
+  /// The keyed MAC state of a client that has authenticated (replies go
+  /// only to such clients).
+  const ClientMac& client_mac(std::uint32_t id);
 
   Options opts_;
   ClockFn clock_;
   KeyTable keys_;
+  // One keyed HMAC state per authenticated client, so no frame re-derives
+  // the client key or re-absorbs its pads.  Cleared with the key table.
+  std::unordered_map<std::uint32_t, ClientMac> macs_;
   SubmitFn submit_;
   ReplyFn reply_;
   std::function<Bytes(Bytes)> mangle_;

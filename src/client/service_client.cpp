@@ -11,6 +11,7 @@ obs::Labels client_labels() { return {{"party", "client"}}; }
 
 ReplicatedServiceClient::ReplicatedServiceClient(Options opts, Hooks hooks)
     : opts_(std::move(opts)),
+      mac_(opts_.key),
       hooks_(std::move(hooks)),
       requests_(obs::registry().counter("client.requests", client_labels())),
       completed_(obs::registry().counter("client.completed", client_labels())),
@@ -43,7 +44,7 @@ void ReplicatedServiceClient::start_next() {
 
   pending_ = Pending{};
   pending_.seq = req.seq;
-  pending_.datagram = encode_request(req, opts_.key);
+  pending_.datagram = encode_request(req, mac_);
   pending_.done = std::move(done);
   pending_.started_ms = hooks_.now_ms();
   pending_.rto_ms = opts_.rto_ms;
@@ -80,7 +81,7 @@ void ReplicatedServiceClient::on_timeout(std::uint64_t gen) {
 void ReplicatedServiceClient::on_datagram(BytesView datagram) {
   if (!active_) return;
   if (peek_client_id(datagram) != opts_.client_id) return;
-  const auto reply = decode_reply(datagram, opts_.key);
+  const auto reply = decode_reply(datagram, mac_);
   if (!reply) return;  // mangled/forged: MAC failed, drop silently
   if (reply->seq != pending_.seq) return;  // answer to an older request
   if (reply->replica >= static_cast<std::uint32_t>(opts_.n)) return;

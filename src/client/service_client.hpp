@@ -97,6 +97,7 @@ class ReplicatedServiceClient {
   void finish(Outcome outcome);
 
   Options opts_;
+  ClientMac mac_;  // opts_.key's keyed state, for every frame
   Hooks hooks_;
   std::uint64_t next_seq_ = 1;
   std::deque<std::pair<Bytes, DoneFn>> queue_;

@@ -1,13 +1,15 @@
 #include "client/wire.hpp"
 
-#include "crypto/hmac.hpp"
+#include <cstring>
+#include <string_view>
+
 #include "util/serde.hpp"
 
 namespace sintra::client {
 namespace {
 
-constexpr const char* kRequestDomain = "sintra-client-req";
-constexpr const char* kReplyDomain = "sintra-client-rep";
+constexpr std::string_view kRequestDomain = "sintra-client-req";
+constexpr std::string_view kReplyDomain = "sintra-client-rep";
 constexpr std::uint8_t kWrapTag = 0xC6;
 
 // Fixed advisory header shared by both frame kinds: magic, version,
@@ -19,17 +21,31 @@ void put_header(Writer& w, FrameType type, std::uint32_t client_id) {
   w.u32(client_id);
 }
 
-Bytes reply_mac(const ReplyFrame& f, BytesView key) {
-  Writer st;
-  st.str(kReplyDomain);
-  st.u32(f.client_id);
-  st.u64(f.seq);
-  st.u32(f.replica);
-  st.u8(static_cast<std::uint8_t>(f.status));
-  st.u64(f.global_seq);
-  st.u32(f.retry_ms);
-  st.bytes(f.result);
-  return crypto::hmac(crypto::HashKind::kSha256, key, st.data());
+// Writer::str's encoding (u32 length, then the bytes) into a stack buffer.
+std::uint8_t* put_str(std::uint8_t* out, std::string_view s) {
+  out = put_u32(out, static_cast<std::uint32_t>(s.size()));
+  std::memcpy(out, s.data(), s.size());
+  return out + s.size();
+}
+
+Bytes tag_bytes(const ClientMac::Tag& tag) {
+  return Bytes(tag.begin(), tag.end());
+}
+
+// The MAC'd statements are what a Writer would produce: the fixed
+// fields go into a stack header, and the trailing length-prefixed
+// payload or result is hashed in place after its length.
+Bytes reply_mac(const ReplyFrame& f, const ClientMac& mac) {
+  std::uint8_t head[4 + kReplyDomain.size() + 4 + 8 + 4 + 1 + 8 + 4 + 4];
+  std::uint8_t* p = put_str(head, kReplyDomain);
+  p = put_u32(p, f.client_id);
+  p = put_u64(p, f.seq);
+  p = put_u32(p, f.replica);
+  *p++ = static_cast<std::uint8_t>(f.status);
+  p = put_u64(p, f.global_seq);
+  p = put_u32(p, f.retry_ms);
+  p = put_u32(p, static_cast<std::uint32_t>(f.result.size()));
+  return tag_bytes(mac.mac({BytesView(head, p), f.result}));
 }
 
 }  // namespace
@@ -45,25 +61,29 @@ const char* status_name(Status s) {
 }
 
 Bytes request_mac(std::uint32_t client_id, std::uint64_t seq,
-                  BytesView payload, BytesView key) {
-  Writer st;
-  st.str(kRequestDomain);
-  st.u32(client_id);
-  st.u64(seq);
-  st.bytes(payload);
-  return crypto::hmac(crypto::HashKind::kSha256, key, st.data());
+                  BytesView payload, const ClientMac& mac) {
+  std::uint8_t head[4 + kRequestDomain.size() + 4 + 8 + 4];
+  std::uint8_t* p = put_str(head, kRequestDomain);
+  p = put_u32(p, client_id);
+  p = put_u64(p, seq);
+  p = put_u32(p, static_cast<std::uint32_t>(payload.size()));
+  return tag_bytes(mac.mac({BytesView(head, p), payload}));
 }
 
-Bytes encode_request(const RequestFrame& f, BytesView key) {
+Bytes encode_request(const RequestFrame& f, const ClientMac& mac) {
   Writer w;
   put_header(w, FrameType::kRequest, f.client_id);
   w.u64(f.seq);
   w.bytes(f.payload);
-  w.bytes(request_mac(f.client_id, f.seq, f.payload, key));
+  w.bytes(request_mac(f.client_id, f.seq, f.payload, mac));
   return std::move(w).take();
 }
 
-Bytes encode_reply(const ReplyFrame& f, BytesView key) {
+Bytes encode_request(const RequestFrame& f, BytesView key) {
+  return encode_request(f, ClientMac(key));
+}
+
+Bytes encode_reply(const ReplyFrame& f, const ClientMac& mac) {
   Writer w;
   put_header(w, FrameType::kReply, f.client_id);
   w.u64(f.seq);
@@ -72,11 +92,12 @@ Bytes encode_reply(const ReplyFrame& f, BytesView key) {
   w.u64(f.global_seq);
   w.u32(f.retry_ms);
   w.bytes(f.result);
-  w.bytes(reply_mac(f, key));
+  w.bytes(reply_mac(f, mac));
   return std::move(w).take();
 }
 
-std::optional<RequestFrame> decode_request(BytesView datagram, BytesView key) {
+std::optional<RequestFrame> decode_request(BytesView datagram,
+                                           const ClientMac& mac) {
   try {
     Reader r(datagram);
     if (r.u8() != kMagic || r.u8() != kVersion ||
@@ -87,10 +108,10 @@ std::optional<RequestFrame> decode_request(BytesView datagram, BytesView key) {
     f.client_id = r.u32();
     f.seq = r.u64();
     f.payload = r.bytes();
-    const Bytes mac = r.bytes();
+    const Bytes tag = r.bytes();
     r.expect_end();
-    const Bytes expect = request_mac(f.client_id, f.seq, f.payload, key);
-    if (!ct_equal(mac, expect)) return std::nullopt;
+    const Bytes expect = request_mac(f.client_id, f.seq, f.payload, mac);
+    if (!ct_equal(tag, expect)) return std::nullopt;
     return f;
   } catch (const SerdeError&) {
     return std::nullopt;
@@ -98,6 +119,11 @@ std::optional<RequestFrame> decode_request(BytesView datagram, BytesView key) {
 }
 
 std::optional<ReplyFrame> decode_reply(BytesView datagram, BytesView key) {
+  return decode_reply(datagram, ClientMac(key));
+}
+
+std::optional<ReplyFrame> decode_reply(BytesView datagram,
+                                       const ClientMac& mac) {
   try {
     Reader r(datagram);
     if (r.u8() != kMagic || r.u8() != kVersion ||
@@ -116,9 +142,9 @@ std::optional<ReplyFrame> decode_reply(BytesView datagram, BytesView key) {
     f.global_seq = r.u64();
     f.retry_ms = r.u32();
     f.result = r.bytes();
-    const Bytes mac = r.bytes();
+    const Bytes tag = r.bytes();
     r.expect_end();
-    if (!ct_equal(mac, reply_mac(f, key))) return std::nullopt;
+    if (!ct_equal(tag, reply_mac(f, mac))) return std::nullopt;
     return f;
   } catch (const SerdeError&) {
     return std::nullopt;

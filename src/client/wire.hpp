@@ -24,6 +24,7 @@
 #include <cstdint>
 #include <optional>
 
+#include "crypto/hmac.hpp"
 #include "util/bytes.hpp"
 
 namespace sintra::client {
@@ -60,15 +61,25 @@ struct ReplyFrame {
   Bytes result;
 };
 
+/// One client key's HMAC-SHA256 state, pads absorbed once.  Whoever MACs
+/// many frames under one key (a replica per client, a client for its own
+/// key) keeps one; the client-side `BytesView key` overloads below build
+/// one per call.
+using ClientMac = crypto::KeyedHmac<crypto::Sha256>;
+
 /// Builds a MAC'd request datagram.
+Bytes encode_request(const RequestFrame& f, const ClientMac& mac);
 Bytes encode_request(const RequestFrame& f, BytesView key);
 
 /// Builds a MAC'd reply datagram.
-Bytes encode_reply(const ReplyFrame& f, BytesView key);
+Bytes encode_reply(const ReplyFrame& f, const ClientMac& mac);
 
 /// Parses and authenticates.  nullopt on malformed frames or a bad MAC —
 /// callers count, never throw, per the Byzantine-input discipline.
-std::optional<RequestFrame> decode_request(BytesView datagram, BytesView key);
+std::optional<RequestFrame> decode_request(BytesView datagram,
+                                           const ClientMac& mac);
+std::optional<ReplyFrame> decode_reply(BytesView datagram,
+                                       const ClientMac& mac);
 std::optional<ReplyFrame> decode_reply(BytesView datagram, BytesView key);
 
 /// Advisory peeks at the fixed header; no authentication implied.
@@ -101,6 +112,6 @@ std::optional<WrappedRequest> unwrap_request(BytesView payload);
 /// The MAC re-checked at delivery time must cover exactly what the
 /// ingest MAC covered, so the statement builder is shared.
 Bytes request_mac(std::uint32_t client_id, std::uint64_t seq,
-                  BytesView payload, BytesView key);
+                  BytesView payload, const ClientMac& mac);
 
 }  // namespace sintra::client

@@ -18,6 +18,7 @@ SecureAtomicChannel::SecureAtomicChannel(Environment& env,
   atomic_->set_deliver_callback([this](const Bytes& ct, PartyId) {
     on_ciphertext_delivered(ct);
   });
+  atomic_->set_closed_callback([this] { report_closed_if_done(); });
   auto& reg = obs::registry();
   const obs::Labels labels =
       obs::party_layer_labels(env.self(), obs::layer_of(pid));
@@ -181,6 +182,13 @@ void SecureAtomicChannel::flush_ready() {
     }
     ++next_delivery_;
   }
+  report_closed_if_done();
+}
+
+void SecureAtomicChannel::report_closed_if_done() {
+  if (closed_reported_ || !is_closed()) return;
+  closed_reported_ = true;
+  if (closed_cb_) closed_cb_();
 }
 
 void SecureAtomicChannel::abort() {

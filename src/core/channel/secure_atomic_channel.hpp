@@ -60,7 +60,11 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   }
 
   void close() { atomic_->close(); }
-  [[nodiscard]] bool is_closed() const { return atomic_->is_closed(); }
+  /// True once the ordering channel has closed and every ciphertext it
+  /// ordered before the close has been delivered (or skipped as invalid).
+  [[nodiscard]] bool is_closed() const {
+    return atomic_->is_closed() && next_delivery_ == slots_.size();
+  }
 
   /// Timing log for the benchmarks (delivery time of the *cleartext*).
   struct Delivery {
@@ -84,9 +88,11 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
       std::function<void(const Bytes&, PartyId origin)> cb) override {
     deliver_cb_ = std::move(cb);
   }
-  /// Fires when the underlying atomic channel terminates.
+  /// Fires once, when is_closed() becomes true: the ordered tail is
+  /// decrypted one share round after the close, and whoever completes on
+  /// this signal must hold the whole sequence.
   void set_closed_callback(std::function<void()> cb) override {
-    atomic_->set_closed_callback(std::move(cb));
+    closed_cb_ = std::move(cb);
   }
 
   /// The atomic channel that orders this channel's ciphertexts.  It runs
@@ -113,6 +119,8 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   void on_ciphertext_delivered(const Bytes& ciphertext);
   void process_share(PartyId from, std::size_t index, const Bytes& share);
   void flush_ready();
+  /// Fires the closed callback the first time is_closed() holds.
+  void report_closed_if_done();
 
   std::unique_ptr<AtomicChannel> atomic_;
 
@@ -135,6 +143,8 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   std::vector<Delivery> deliveries_;
   std::size_t delivery_log_limit_ = 0;  // 0 = unlimited
   std::function<void(const Bytes&, PartyId)> deliver_cb_;
+  std::function<void()> closed_cb_;
+  bool closed_reported_ = false;
 
   // Instrumentation handles (obs/metrics.hpp); measurement only.
   obs::Counter* m_deliveries_ = nullptr;

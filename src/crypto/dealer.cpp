@@ -69,7 +69,7 @@ bool PartyKeys::verify_party_sig(int j, BytesView msg, BytesView sig) const {
 }
 
 Bytes PartyKeys::sign(BytesView msg) const {
-  return rsa_sign(*own_rsa, msg, hash);
+  return own_signer->sign(msg, hash);
 }
 
 PartyKeys materialize(const RawPartyKeys& raw) {
@@ -80,6 +80,7 @@ PartyKeys materialize(const RawPartyKeys& raw) {
   keys.hash = raw.hash;
   keys.link_keys = raw.link_keys;
   keys.own_rsa = std::make_shared<const RsaKeyPair>(raw.own_rsa);
+  keys.own_signer = std::make_shared<const RsaSigner>(raw.own_rsa);
   keys.rsa_publics = std::make_shared<const MultiSigPublic>(
       MultiSigPublic{raw.n, raw.n, raw.all_rsa_publics, raw.hash});
 

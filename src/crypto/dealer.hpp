@@ -56,6 +56,7 @@ struct PartyKeys {
   std::vector<Bytes> link_keys;
 
   std::shared_ptr<const RsaKeyPair> own_rsa;
+  std::shared_ptr<const RsaSigner> own_signer;  // own_rsa, contexts built
   std::shared_ptr<const MultiSigPublic> rsa_publics;  // all standard keys
 
   /// This party's one memo of successful RSA-FDH checks, shared by

@@ -8,20 +8,25 @@
 
 namespace sintra::crypto {
 
+MultiSigPublic::MultiSigPublic(int n, int k,
+                               const std::vector<RsaPublicKey>& keys,
+                               HashKind hash)
+    : n(n), k(k), keys(keys.begin(), keys.end()), hash(hash) {}
+
 MultiSigScheme::MultiSigScheme(std::shared_ptr<const MultiSigPublic> pub,
                                int index,
                                std::shared_ptr<const RsaKeyPair> own_key,
                                std::shared_ptr<VerifyMemo> memo)
     : pub_(std::move(pub)),
       index_(index),
-      own_key_(std::move(own_key)),
-      memo_(memo ? std::move(memo) : std::make_shared<VerifyMemo>()) {}
+      memo_(memo ? std::move(memo) : std::make_shared<VerifyMemo>()) {
+  if (own_key != nullptr) signer_.emplace(*own_key);
+}
 
 Bytes MultiSigScheme::sign_share(BytesView msg) {
-  if (own_key_ == nullptr)
-    throw std::logic_error("MultiSigScheme: verify-only handle");
+  if (!signer_) throw std::logic_error("MultiSigScheme: verify-only handle");
   const OpScope ops("multi_sig.sign_share");
-  return rsa_sign(*own_key_, msg, pub_->hash);
+  return signer_->sign(msg, pub_->hash);
 }
 
 bool MultiSigScheme::verify_share(BytesView msg, int signer,

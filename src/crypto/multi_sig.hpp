@@ -10,6 +10,7 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "crypto/threshold_sig.hpp"
@@ -19,9 +20,14 @@ namespace sintra::crypto {
 
 /// Public data: every party's standard signature verification key.
 struct MultiSigPublic {
+  MultiSigPublic(int n, int k, const std::vector<RsaPublicKey>& keys,
+                 HashKind hash);
+
   int n = 0;
   int k = 0;
-  std::vector<RsaPublicKey> keys;
+  /// keys[i] is party i's key with its Montgomery context, built once by
+  /// the constructor.
+  std::vector<RsaVerifier> keys;
   HashKind hash = HashKind::kSha256;
 };
 
@@ -49,7 +55,7 @@ class MultiSigScheme final : public ThresholdSigScheme {
  private:
   std::shared_ptr<const MultiSigPublic> pub_;
   int index_;
-  std::shared_ptr<const RsaKeyPair> own_key_;
+  std::optional<RsaSigner> signer_;  // built once from own_key
   std::shared_ptr<VerifyMemo> memo_;
 };
 

@@ -1,8 +1,9 @@
 #include "crypto/rsa.hpp"
 
+#include <array>
 #include <stdexcept>
 
-#include "bignum/montgomery.hpp"
+#include "crypto/sha1.hpp"
 
 namespace sintra::crypto {
 
@@ -44,38 +45,67 @@ RsaKeyPair rsa_generate(Rng& rng, int bits, bool safe_primes,
   }
 }
 
+namespace {
+
+// One output block of rsa_fdh per counter value: the counter, then the
+// message, streamed into the hash without a concatenated copy.
+template <typename Hash>
+Bytes fdh_material(BytesView msg, std::size_t want) {
+  Bytes material;
+  material.reserve(want + Hash::kDigestSize);
+  std::uint8_t counter[4];
+  std::array<std::uint8_t, Hash::kDigestSize> block;
+  for (std::uint32_t i = 0; material.size() < want; ++i) {
+    put_u32(counter, i);
+    Hash h;
+    h.update(BytesView(counter, sizeof counter));
+    h.update(msg);
+    h.digest_to(block);
+    material.insert(material.end(), block.begin(), block.end());
+  }
+  return material;
+}
+
+}  // namespace
+
 BigInt rsa_fdh(BytesView msg, const BigInt& n, HashKind hash) {
   const std::size_t nbytes = static_cast<std::size_t>(n.bit_length() + 7) / 8;
-  Bytes material;
-  std::uint32_t block = 0;
-  while (material.size() < nbytes + 8) {
-    Writer w;
-    w.u32(block++);
-    w.raw(msg);
-    const Bytes d = hash_bytes(hash, w.data());
-    material.insert(material.end(), d.begin(), d.end());
-  }
+  const Bytes material = hash == HashKind::kSha1
+                             ? fdh_material<Sha1>(msg, nbytes + 8)
+                             : fdh_material<Sha256>(msg, nbytes + 8);
   return BigInt::from_bytes(material).mod(n);
 }
 
-Bytes rsa_sign(const RsaKeyPair& key, BytesView msg, HashKind hash) {
-  const BigInt x = rsa_fdh(msg, key.pub.n, hash);
+RsaSigner::RsaSigner(RsaKeyPair key)
+    : key_(std::move(key)), mont_p_(key_.p), mont_q_(key_.q) {}
+
+Bytes RsaSigner::sign(BytesView msg, HashKind hash) const {
+  const BigInt x = rsa_fdh(msg, key_.pub.n, hash);
   // CRT: two half-size exponentiations.
-  const bignum::Montgomery mp(key.p);
-  const bignum::Montgomery mq(key.q);
-  const BigInt m1 = mp.pow(x.mod(key.p), key.dp);
-  const BigInt m2 = mq.pow(x.mod(key.q), key.dq);
-  const BigInt h = (key.qinv * (m1 - m2)).mod(key.p);
-  const BigInt s = m2 + key.q * h;
-  return s.to_bytes_padded(key.pub.modulus_bytes());
+  const BigInt m1 = mont_p_.pow(x.mod(key_.p), key_.dp);
+  const BigInt m2 = mont_q_.pow(x.mod(key_.q), key_.dq);
+  const BigInt h = (key_.qinv * (m1 - m2)).mod(key_.p);
+  const BigInt s = m2 + key_.q * h;
+  return s.to_bytes_padded(key_.pub.modulus_bytes());
+}
+
+RsaVerifier::RsaVerifier(RsaPublicKey key)
+    : key_(std::move(key)), mont_n_(key_.n) {}
+
+bool RsaVerifier::verify(BytesView msg, BytesView sig, HashKind hash) const {
+  if (sig.size() != key_.modulus_bytes()) return false;
+  const BigInt s = BigInt::from_bytes(sig);
+  if (s >= key_.n) return false;
+  return mont_n_.pow(s, key_.e) == rsa_fdh(msg, key_.n, hash);
+}
+
+Bytes rsa_sign(const RsaKeyPair& key, BytesView msg, HashKind hash) {
+  return RsaSigner(key).sign(msg, hash);
 }
 
 bool rsa_verify(const RsaPublicKey& key, BytesView msg, BytesView sig,
                 HashKind hash) {
-  if (sig.size() != key.modulus_bytes()) return false;
-  const BigInt s = BigInt::from_bytes(sig);
-  if (s >= key.n) return false;
-  return s.mod_pow(key.e, key.n) == rsa_fdh(msg, key.n, hash);
+  return RsaVerifier(key).verify(msg, sig, hash);
 }
 
 }  // namespace sintra::crypto

@@ -11,6 +11,7 @@
 #pragma once
 
 #include "bignum/bigint.hpp"
+#include "bignum/montgomery.hpp"
 #include "bignum/prime.hpp"
 #include "crypto/sha256.hpp"
 #include "util/rng.hpp"
@@ -48,15 +49,51 @@ RsaKeyPair rsa_generate(Rng& rng, int bits, bool safe_primes = false,
                         const BigInt& e = BigInt{65537});
 
 /// Deterministic full-domain-style encoding of a message into Z_n:
-/// expands H(msg) with a counter and reduces mod n.
+/// H(0 || msg) || H(1 || msg) || ... (4-byte big-endian counters) until
+/// 8 bytes more than n's width, reduced mod n.
 BigInt rsa_fdh(BytesView msg, const BigInt& n, HashKind hash);
 
-/// FDH signature: rsa_fdh(msg)^d mod n via CRT; returned big-endian,
-/// padded to the modulus size.
+/// A key pair with its two CRT Montgomery contexts built once, so a
+/// party that signs many messages builds them when its keys are
+/// materialized, not per signature.  Building a context charges no work
+/// units; sign() charges exactly what rsa_sign does.
+class RsaSigner {
+ public:
+  explicit RsaSigner(RsaKeyPair key);
+
+  [[nodiscard]] const RsaKeyPair& key() const { return key_; }
+
+  /// FDH signature: rsa_fdh(msg)^d mod n via CRT; returned big-endian,
+  /// padded to the modulus size.
+  [[nodiscard]] Bytes sign(BytesView msg, HashKind hash) const;
+
+ private:
+  RsaKeyPair key_;
+  bignum::Montgomery mont_p_;
+  bignum::Montgomery mont_q_;
+};
+
+/// A public key with its Montgomery context built once (see RsaSigner).
+class RsaVerifier {
+ public:
+  explicit RsaVerifier(RsaPublicKey key);
+
+  [[nodiscard]] const RsaPublicKey& key() const { return key_; }
+
+  /// Verifies sig^e == rsa_fdh(msg) mod n.  False on malformed input.
+  [[nodiscard]] bool verify(BytesView msg, BytesView sig,
+                            HashKind hash) const;
+
+ private:
+  RsaPublicKey key_;
+  bignum::Montgomery mont_n_;
+};
+
+/// RsaSigner(key).sign(msg, hash), for one-off signatures.
 Bytes rsa_sign(const RsaKeyPair& key, BytesView msg,
                HashKind hash = HashKind::kSha256);
 
-/// Verifies sig^e == rsa_fdh(msg) mod n.  False on malformed input.
+/// RsaVerifier(key).verify(msg, sig, hash), for one-off checks.
 bool rsa_verify(const RsaPublicKey& key, BytesView msg, BytesView sig,
                 HashKind hash = HashKind::kSha256);
 

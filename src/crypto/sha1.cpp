@@ -1,6 +1,7 @@
 #include "crypto/sha1.hpp"
 
 #include <stdexcept>
+#include <utility>
 
 #include "crypto/md_absorb.hpp"
 
@@ -53,33 +54,65 @@ void Sha1::digest_to(std::span<std::uint8_t, kDigestSize> out) {
   }
 }
 
+namespace {
+
+constexpr std::uint32_t kRoundConstant[4] = {0x5A827999u, 0x6ED9EBA1u,
+                                             0x8F1BBCDCu, 0xCA62C1D6u};
+
+// Round I of the compression.  The caller renames the five working
+// variables from round to round instead of shifting them, so a round only
+// updates e and b.  Rounds 16..79 extend the message schedule in a
+// 16-word ring: w[I & 15] still holds word I-16 when word I replaces it.
+template <int I>
+inline void round(std::uint32_t* w, std::uint32_t a, std::uint32_t& b,
+                  std::uint32_t c, std::uint32_t d, std::uint32_t& e) {
+  std::uint32_t wi;
+  if constexpr (I < 16) {
+    wi = w[I];
+  } else {
+    wi = rotl(w[(I + 13) & 15] ^ w[(I + 8) & 15] ^ w[(I + 2) & 15] ^
+                  w[I & 15],
+              1);
+    w[I & 15] = wi;
+  }
+  std::uint32_t f;
+  if constexpr (I < 20) {
+    f = d ^ (b & (c ^ d));  // = (b & c) | (~b & d)
+  } else if constexpr (I < 40 || I >= 60) {
+    f = b ^ c ^ d;
+  } else {
+    f = (b & c) | (d & (b | c));  // = (b & c) | (b & d) | (c & d)
+  }
+  e += rotl(a, 5) + f + kRoundConstant[I / 20] + wi;
+  b = rotl(b, 30);
+}
+
+// Five rounds bring the names back to where they started.
+template <int I>
+inline void five_rounds(std::uint32_t* w, std::uint32_t& a, std::uint32_t& b,
+                        std::uint32_t& c, std::uint32_t& d, std::uint32_t& e) {
+  round<I>(w, a, b, c, d, e);
+  round<I + 1>(w, e, a, b, c, d);
+  round<I + 2>(w, d, e, a, b, c);
+  round<I + 3>(w, c, d, e, a, b);
+  round<I + 4>(w, b, c, d, e, a);
+}
+
+}  // namespace
+
 void Sha1::process_block(const std::uint8_t* block) {
-  std::uint32_t w[80];
+  std::uint32_t w[16];
   for (int i = 0; i < 16; ++i) {
     w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
            (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
            (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
            static_cast<std::uint32_t>(block[4 * i + 3]);
   }
-  for (int i = 16; i < 80; ++i) {
-    w[i] = rotl(w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16], 1);
-  }
   std::uint32_t a = h_[0], b = h_[1], c = h_[2], d = h_[3], e = h_[4];
-  // Four branch-free 20-round stages, one per round function.
-  const auto step = [&](std::uint32_t f, std::uint32_t k, std::uint32_t wi) {
-    const std::uint32_t temp = rotl(a, 5) + f + e + k + wi;
-    e = d;
-    d = c;
-    c = rotl(b, 30);
-    b = a;
-    a = temp;
-  };
-  for (int i = 0; i < 20; ++i) step((b & c) | (~b & d), 0x5A827999u, w[i]);
-  for (int i = 20; i < 40; ++i) step(b ^ c ^ d, 0x6ED9EBA1u, w[i]);
-  for (int i = 40; i < 60; ++i) {
-    step((b & c) | (b & d) | (c & d), 0x8F1BBCDCu, w[i]);
-  }
-  for (int i = 60; i < 80; ++i) step(b ^ c ^ d, 0xCA62C1D6u, w[i]);
+  // All 80 rounds, unrolled by the template expansion.
+  [&]<int... G>(std::integer_sequence<int, G...>) {
+    (five_rounds<5 * G>(w, a, b, c, d, e), ...);
+  }(std::make_integer_sequence<int, 16>{});
   h_[0] += a;
   h_[1] += b;
   h_[2] += c;

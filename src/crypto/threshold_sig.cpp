@@ -179,6 +179,7 @@ RsaThresholdScheme::RsaThresholdScheme(
       share_(std::move(share)),
       prover_rng_(prover_seed),
       memo_(memo ? std::move(memo) : std::make_shared<VerifyMemo>()),
+      group_key_(RsaPublicKey{pub_->modulus, pub_->e}),
       fast_(std::make_unique<FastPath>()) {}
 
 RsaThresholdScheme::~RsaThresholdScheme() = default;
@@ -318,8 +319,8 @@ Bytes RsaThresholdScheme::combine(
 }
 
 bool RsaThresholdScheme::verify(BytesView msg, BytesView sig) const {
-  const RsaPublicKey key{pub_->modulus, pub_->e};
-  return memo_->verify(VerifyMemo::kGroupKey, key, msg, sig, pub_->hash);
+  return memo_->verify(VerifyMemo::kGroupKey, group_key_, msg, sig,
+                       pub_->hash);
 }
 
 std::unique_ptr<RsaThresholdScheme> RsaThresholdDeal::make_party(int i) const {

@@ -135,6 +135,7 @@ class RsaThresholdScheme final : public ThresholdSigScheme {
   BigInt share_;
   Rng prover_rng_;
   std::shared_ptr<VerifyMemo> memo_;
+  RsaVerifier group_key_;  // (modulus, e), for verify()
   // Epoch-stamped precomputation: persistent Montgomery context plus comb
   // tables for v and the per-signer inverse verification keys.  Builds
   // are charged to the work counter when they happen (see crypto/cost.hpp).

@@ -29,8 +29,9 @@ std::size_t slot_index(int signer, BytesView sig) {
 
 }  // namespace
 
-bool VerifyMemo::verify(int signer, const RsaPublicKey& key, BytesView msg,
-                        BytesView sig, HashKind hash) {
+bool VerifyMemo::verify(int signer, const RsaVerifier& verifier,
+                        BytesView msg, BytesView sig, HashKind hash) {
+  const RsaPublicKey& key = verifier.key();
   const std::size_t index = slot_index(signer, sig);
   std::uint64_t remembered = 0;
   {
@@ -50,7 +51,7 @@ bool VerifyMemo::verify(int signer, const RsaPublicKey& key, BytesView msg,
 
   memo_counter(false).inc();
   const WorkMeter meter;
-  if (!rsa_verify(key, msg, sig, hash)) return false;
+  if (!verifier.verify(msg, sig, hash)) return false;
   const std::uint64_t work = meter.elapsed();
   const std::size_t bytes =
       sizeof(Entry) + msg.size() + sig.size() +

@@ -50,9 +50,9 @@ class VerifyMemo {
   /// Signer id used for a group key (the Shoup scheme's one public key).
   static constexpr int kGroupKey = -1;
 
-  /// Same answer as rsa_verify(key, msg, sig, hash); `signer` names whose
+  /// Same answer as key.verify(msg, sig, hash); `signer` names whose
   /// key `key` is, so one party's signature is never taken for another's.
-  [[nodiscard]] bool verify(int signer, const RsaPublicKey& key,
+  [[nodiscard]] bool verify(int signer, const RsaVerifier& key,
                             BytesView msg, BytesView sig, HashKind hash);
 
   /// Bytes the stored entries count against kByteBudget.

@@ -16,6 +16,7 @@
 #include "client/wire.hpp"
 #include "replica/replica.hpp"
 #include "sim_fixture.hpp"
+#include "util/hex.hpp"
 
 namespace sintra::client {
 namespace {
@@ -36,18 +37,18 @@ TEST(ClientWire, RequestRoundTripAndAuthentication) {
   EXPECT_EQ(peek_type(dgram), FrameType::kRequest);
   EXPECT_EQ(peek_client_id(dgram), 7u);
 
-  const auto back = decode_request(dgram, key);
+  const auto back = decode_request(dgram, ClientMac(key));
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->client_id, 7u);
   EXPECT_EQ(back->seq, 42u);
   EXPECT_EQ(back->payload, f.payload);
 
-  EXPECT_FALSE(decode_request(dgram, wrong).has_value());
+  EXPECT_FALSE(decode_request(dgram, ClientMac(wrong)).has_value());
   Bytes flipped = dgram;
   flipped[10] ^= 0x01;
-  EXPECT_FALSE(decode_request(flipped, key).has_value());
+  EXPECT_FALSE(decode_request(flipped, ClientMac(key)).has_value());
   Bytes truncated(dgram.begin(), dgram.begin() + 9);
-  EXPECT_FALSE(decode_request(truncated, key).has_value());
+  EXPECT_FALSE(decode_request(truncated, ClientMac(key)).has_value());
   EXPECT_FALSE(peek_type(to_bytes("xy")).has_value());
 }
 
@@ -60,7 +61,7 @@ TEST(ClientWire, ReplyRoundTripAndChannelWrap) {
   r.status = Status::kOk;
   r.global_seq = 1234;
   r.result = to_bytes("ok:1234");
-  const Bytes dgram = encode_reply(r, key);
+  const Bytes dgram = encode_reply(r, ClientMac(key));
   EXPECT_EQ(peek_type(dgram), FrameType::kReply);
   const auto back = decode_reply(dgram, key);
   ASSERT_TRUE(back.has_value());
@@ -75,13 +76,54 @@ TEST(ClientWire, ReplyRoundTripAndChannelWrap) {
   w.client_id = 3;
   w.seq = 9;
   w.payload = to_bytes("pay");
-  w.mac = request_mac(3, 9, w.payload, key);
+  w.mac = request_mac(3, 9, w.payload, ClientMac(key));
   const auto un = unwrap_request(wrap_request(w));
   ASSERT_TRUE(un.has_value());
   EXPECT_EQ(un->seq, 9u);
   EXPECT_EQ(un->mac, w.mac);
   // A raw (pre-client-layer) payload is not a client envelope.
   EXPECT_FALSE(unwrap_request(to_bytes("raw payload")).has_value());
+}
+
+// Request and reply MAC bytes under a derived client key, pinned against
+// the one-shot HMAC-SHA256 over a Writer-built statement that preceded
+// the streaming keyed state; the byte-key overloads must match the keyed
+// ones.
+TEST(ClientWire, MacBytesPinned) {
+  const KeyTable table = make_key_table(16, 3);
+  const Bytes key = table.key(5);
+  EXPECT_EQ(hex_encode(key),
+            "44ce82b36bdf6dca11136edd230705df0a080129cc0ed85a3723a8a2c00c81c2");
+  const ClientMac mac(key);
+
+  RequestFrame f;
+  f.client_id = 5;
+  f.seq = 42;
+  f.payload = to_bytes("pinned payload");
+  EXPECT_EQ(hex_encode(request_mac(5, 42, f.payload, mac)),
+            "3f45e31097199099586e111c14b20ced5a54393054881988c9a4a09bd8ce74b4");
+  const char* request_hex =
+      "c5010100000005000000000000002a0000000e70696e6e6564207061796c6f6164"
+      "000000203f45e31097199099586e111c14b20ced5a54393054881988c9a4a09bd8"
+      "ce74b4";
+  EXPECT_EQ(hex_encode(encode_request(f, key)), request_hex);
+  EXPECT_EQ(hex_encode(encode_request(f, mac)), request_hex);
+  EXPECT_TRUE(decode_request(encode_request(f, key), mac).has_value());
+
+  ReplyFrame r;
+  r.client_id = 5;
+  r.seq = 42;
+  r.replica = 2;
+  r.status = Status::kRetryLater;
+  r.global_seq = 77;
+  r.retry_ms = 50;
+  r.result = to_bytes("pinned result");
+  const char* reply_hex =
+      "c5010200000005000000000000002a0000000202000000000000004d0000003200"
+      "00000d70696e6e656420726573756c7400000020f5adc53f2fb5a503dd9d188e6d"
+      "e3bc84706ac9d36c32539a922fc91a409f159e";
+  EXPECT_EQ(hex_encode(encode_reply(r, mac)), reply_hex);
+  EXPECT_TRUE(decode_reply(encode_reply(r, mac), key).has_value());
 }
 
 TEST(ClientKeys, DeriveAndFileRoundTrip) {
@@ -212,7 +254,7 @@ TEST(ClientGateway, ExecutedBeforeFirstDatagramAnswersFromCache) {
   w.client_id = 6;
   w.seq = 1;
   w.payload = to_bytes("late");
-  w.mac = request_mac(6, 1, w.payload, h.table.key(6));
+  w.mac = request_mac(6, 1, w.payload, ClientMac(h.table.key(6)));
   ASSERT_TRUE(h.gw->on_delivered(wrap_request(w)).has_value());
   EXPECT_TRUE(h.replies.empty());
   // The client's retransmit finally arrives: it gets the executed kOk,
@@ -311,7 +353,7 @@ TEST(ClientGateway, OutOfOrderDeliveryExecutesOnceEach) {
     w.client_id = 2;
     w.seq = seq;
     w.payload = to_bytes("p" + std::to_string(seq));
-    w.mac = request_mac(2, seq, w.payload, h.table.key(2));
+    w.mac = request_mac(2, seq, w.payload, ClientMac(h.table.key(2)));
     return wrap_request(w);
   };
   EXPECT_TRUE(h.gw->on_delivered(wrapped(2)).has_value());
@@ -412,7 +454,7 @@ TEST(ServiceClient, TimerOfAnsweredRequestDoesNotResendTheNext) {
       r.status = Status::kOk;
       r.global_seq = seq;
       r.result = to_bytes("ok");
-      client.on_datagram(encode_reply(r, opts.key));
+      client.on_datagram(encode_reply(r, ClientMac(opts.key)));
     }
   };
   int done = 0;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <type_traits>
 
 #include "crypto/hmac.hpp"
@@ -118,6 +119,26 @@ TEST(Sha256, MillionAs) {
 
 TEST(Sha1, SplitFeedMatchesOneShot) {
   expect_split_feeds_match_one_shot<Sha1>();
+}
+
+// One SHA-256 over the SHA-1 digests of seeded random messages of every
+// length 0..300, each fed in growing pieces (1, 4, 13, 40, ... bytes).
+// The pin was generated by the rolled compression loop that preceded the
+// unrolled one, so any lane, round or schedule slip shows here.
+TEST(Sha1, PinnedDigestsAcrossLengths) {
+  Rng rng(2002);
+  Sha256 outer;
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const Bytes msg = rng.bytes(len);
+    Sha1 h;
+    std::size_t step = 1;
+    for (std::size_t off = 0; off < len; off += step, step = 3 * step + 1) {
+      h.update(BytesView(msg).subspan(off, std::min(step, len - off)));
+    }
+    outer.update(h.digest());
+  }
+  EXPECT_EQ(hex_encode(outer.digest()),
+            "417728578d79e76a3dda56726f7031919cfd5b5f43662cc9a88545dbe8662fdb");
 }
 
 TEST(Sha256, SplitFeedMatchesOneShot) {

@@ -182,6 +182,52 @@ TEST(SecureAtomicChannel, CloseProtocolWorksThroughEncryptedChannel) {
   EXPECT_FALSE(chans[0]->can_send());
 }
 
+// A channel reports closed only once every ciphertext ordered before the
+// close has been decrypted and delivered: a replica completes, and takes
+// its final checkpoint, on that signal, so by then it must hold the whole
+// agreed sequence.
+TEST(SecureAtomicChannel, ClosesOnlyAfterTheOrderedTailIsDelivered) {
+  Cluster c(4, 1, 9);
+  // One round orders a bundle from every party: the payloads of parties 0
+  // and 1 sort before the close requests of parties 2 and 3, so the close
+  // quorum is reached in the round that orders two ciphertexts nobody has
+  // decrypted yet.
+  AtomicChannel::Config config;
+  config.batch_size = 4;
+  auto chans = c.make_protocols<SecureAtomicChannel>(
+      [&](Environment& env, Dispatcher& disp, int) {
+        return std::make_unique<SecureAtomicChannel>(env, disp, "sac.tail",
+                                                     config);
+      });
+  std::vector<std::size_t> delivered_at_close(chans.size(), 0);
+  std::vector<int> closed_calls(chans.size(), 0);
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    chans[i]->set_closed_callback([&, i] {
+      ++closed_calls[i];
+      delivered_at_close[i] = chans[i]->deliveries().size();
+    });
+  }
+  for (int s = 0; s < 4; ++s) {
+    c.sim.at(0.0, s, [&, s] {
+      auto& ch = *chans[static_cast<std::size_t>(s)];
+      if (s < 2) {
+        ch.send(to_bytes("tail-" + std::to_string(s)));
+      } else {
+        ch.close();
+      }
+    });
+  }
+  c.sim.run();  // to quiescence: every pending decryption finishes
+  const auto expected = delivered_strings(*chans[0]);
+  EXPECT_FALSE(expected.empty());
+  for (std::size_t i = 0; i < chans.size(); ++i) {
+    EXPECT_TRUE(chans[i]->is_closed()) << i;
+    EXPECT_EQ(closed_calls[i], 1) << i;
+    EXPECT_EQ(delivered_strings(*chans[i]), expected) << i;
+    EXPECT_EQ(delivered_at_close[i], expected.size()) << i;
+  }
+}
+
 TEST(SecureAtomicChannel, DecryptionAddsLatencyOverAtomic) {
   // Sanity check of the Table 1 relationship: secure > atomic for the
   // same workload (one extra decryption round).

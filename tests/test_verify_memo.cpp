@@ -47,7 +47,7 @@ Check check(VerifyMemo& memo, int signer, const RsaPublicKey& key,
             HashKind hash = HashKind::kSha256) {
   const std::uint64_t hits = memo_count("hit");
   const std::uint64_t before = bignum::work_counter();
-  const bool ok = memo.verify(signer, key, msg, sig, hash);
+  const bool ok = memo.verify(signer, RsaVerifier(key), msg, sig, hash);
   return {ok, bignum::work_counter() - before, memo_count("hit") > hits};
 }
 
@@ -240,14 +240,15 @@ TEST(VerifyMemo, ConcurrentChecksAgreeWithRsaVerify) {
   }
   const std::uint64_t hits = memo_count("hit");
   std::atomic<int> wrong{0};
+  const RsaVerifier verifier(key_a().pub);
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&, t] {
       for (int round = 0; round < 25; ++round) {
         const int i = (round + t) % kMessages;
         const auto k = static_cast<std::size_t>(i);
-        const bool ok = memo.verify(0, key_a().pub, msgs[k], sigs[k],
-                                    HashKind::kSha256);
+        const bool ok =
+            memo.verify(0, verifier, msgs[k], sigs[k], HashKind::kSha256);
         if (ok != (i % 3 != 2)) ++wrong;
       }
     });
