@@ -45,22 +45,30 @@ cmake --build "$build_dir" --target e2e_throughput sintra_node dealer_tool \
 bench="$build_dir/bench/e2e_throughput"
 raw="$(mktemp)"
 swarm_json="$(mktemp)"
-trap 'rm -f "$raw" "$swarm_json"' EXIT
+cluster_log="$(mktemp)"
+trap 'rm -f "$raw" "$swarm_json" "$cluster_log"' EXIT
 
 # Real-cluster client-service datapoint: the swarm's JSON summary is
-# relabeled and merged alongside the simulator runs.
+# relabeled and merged alongside the simulator runs, with the cluster's
+# client.shed total next to the swarm's retransmits and latencies (the
+# clients scenario overdrives admission on purpose, and the retransmits
+# of shed requests set its p99).
 run_clients() {  # run_clients <label> <clients> <chaos 0|1>
   local label="$1" clients="$2" chaos="$3"
   echo "# e2e: $label" >&2
   : > "$swarm_json"
   "$repo_root/scripts/run_local_cluster.sh" --scenario clients \
     --swarm-clients "$clients" --swarm-chaos "$chaos" \
-    --swarm-json "$swarm_json" --build-dir "$build_dir" >&2
+    --swarm-json "$swarm_json" --build-dir "$build_dir" 2>&1 |
+    tee "$cluster_log" >&2
   python3 -c '
-import json, sys
+import json, re, sys
 r = json.load(open(sys.argv[1]))
 r["label"] = sys.argv[2]
-print(json.dumps(r))' "$swarm_json" "$label" >>"$raw"
+shed = re.search(r"== metrics path: .*client\.shed=(\d+)",
+                 open(sys.argv[3]).read())
+r["client_shed"] = int(shed.group(1)) if shed else None
+print(json.dumps(r))' "$swarm_json" "$label" "$cluster_log" >>"$raw"
 }
 
 msgs="${SINTRA_BENCH_E2E_MSGS:-240}"
@@ -132,8 +140,9 @@ out = {
                    "pipelined rounds (DESIGN.md §11). client_* runs drive "
                    "a real 4-process cluster with a client_swarm of "
                    "signed external requests (wall clock): requests/sec "
-                   "and client-observed p50/p99 reply-quorum latency "
-                   "(DESIGN.md §12).",
+                   "and client-observed p50/p99 reply-quorum latency, "
+                   "with the swarm's retransmits and the cluster's "
+                   "client.shed total (DESIGN.md §12).",
     "runs": runs,
     "speedups_deliveries_per_sec": {
         "clean": ratio("clean-seed", "clean-batched"),

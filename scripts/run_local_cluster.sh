@@ -354,6 +354,20 @@ if [[ "$scenario" == clients ]]; then
     echo "FAIL: client swarm did not complete every request" >&2
     cat "$workdir/swarm.err" >&2 || true
     cat "$workdir/swarm.json" >&2 || true
+    # The EXIT trap deletes the workdir: say here which process stopped
+    # serving and what it last printed.
+    for i in "${!pids[@]}"; do
+      state=exited
+      kill -0 "${pids[$i]}" 2>/dev/null && state=running
+      echo "-- node $i ($state), stderr tail:" >&2
+      tail -n 20 "$workdir/stats.$i" >&2 || true
+    done
+    if [[ -n "$proxy_pid" ]]; then
+      state=exited
+      kill -0 "$proxy_pid" 2>/dev/null && state=running
+      echo "-- proxy ($state), stderr tail:" >&2
+      tail -n 20 "$workdir/proxy.stats" >&2 || true
+    fi
     exit 1
   fi
   echo "== swarm summary: $(cat "$workdir/swarm.json")"

@@ -43,13 +43,15 @@ else
   # batch DLEQ verification, the optimistic combine-first paths, the
   # worker pool, and SHA/HMAC with the keyed link-MAC state), the client
   # wire format and gateway (stack-built MAC statements, per-client keyed
-  # MAC state), and the net subsystem (event loop, UDP transport,
-  # sliding-window link, 4-process clusters).
+  # MAC state), the simulated client service end to end (the full replica
+  # composition with client lanes, designation and reply quorums), and
+  # the net subsystem (event loop, UDP transport, sliding-window link,
+  # 4-process clusters).
   filter='BigInt|BignumDiff|KnuthD|Montgomery|MultiExp|FixedBase|GroupCache'
   filter+='|Karatsuba|Prime'
   filter+='|Rsa|VerifyMemo|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
   filter+='|ThresholdSig|Coin|Tdh2|Optimistic|WorkPool'
-  filter+='|Dealer|Hash|Sha|Hmac|Aes|ClientGateway|ClientWire'
+  filter+='|Dealer|Hash|Sha|Hmac|Aes|ClientGateway|ClientWire|ClientServiceE2E'
   filter+='|EventLoop|UdpSocket|NetEnvironment|SlidingWindow|LocalCluster'
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"

@@ -34,6 +34,8 @@ ClientGateway::ClientGateway(Options opts, ClockFn clock)
       replies_sent_(obs::registry().counter(
           "client.replies_sent",
           obs::party_labels(static_cast<int>(opts.replica)))),
+      held_(obs::registry().counter(
+          "client.held", obs::party_labels(static_cast<int>(opts.replica)))),
       dup_deliveries_(obs::registry().counter(
           "client.dup_deliveries",
           obs::party_labels(static_cast<int>(opts.replica)))),
@@ -144,7 +146,7 @@ void ClientGateway::on_request_datagram(BytesView datagram,
     rejected_auth_.inc();
     return;
   }
-  std::optional<RequestFrame> req;
+  std::optional<WrappedRequest> req;
   if (!authenticate(*id, [&](const ClientMac& mac) {
         req = decode_request(datagram, mac);
         return req.has_value();
@@ -211,12 +213,17 @@ void ClientGateway::on_request_datagram(BytesView datagram,
     return;
   }
 
-  WrappedRequest w;
-  w.client_id = *id;
-  w.seq = req->seq;
-  w.payload = req->payload;
-  w.mac = request_mac(*id, req->seq, req->payload, client_mac(*id));
-  if (!submit_ || !submit_(wrap_request(w))) {
+  if (req->seq != cs.held &&
+      designated_replica(*id, req->seq, opts_.n) != opts_.replica) {
+    // A first transmission that another replica is designated to
+    // propose: remember it and stay silent.  If the designated replica
+    // is slow or silent, the client's RTO re-multicast finds this seq
+    // held here and every such replica proposes it.
+    cs.held = std::max(cs.held, req->seq);
+    held_.inc();
+    return;
+  }
+  if (!submit_ || !submit_(wrap_request(*req))) {
     shed_.inc();
     reject(*id, cs, req->seq, Status::kOverloaded);
     return;

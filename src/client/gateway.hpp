@@ -12,8 +12,17 @@
 //
 //   MAC verify  ->  dedup (per-client seq)  ->  admission control
 //   (per-client + global token buckets, bounded pending window)  ->
-//   wrap + propose  ->  ... atomic broadcast ...  ->  on_delivered:
-//   delivery-time MAC re-check + at-most-once execute  ->  signed reply.
+//   designation: propose, or hold  ->  wrap + propose  ->  ... atomic
+//   broadcast ...  ->  on_delivered: delivery-time MAC re-check +
+//   at-most-once execute  ->  signed reply.
+//
+// A client multicasts each request to all n replicas, but only the
+// request's designated replica (designated_replica in wire.hpp) proposes
+// the first transmission, so each request is ordered once.  Every other
+// replica runs the same checks and admission, then holds the seq and
+// sends nothing.  When the client's RTO re-multicasts the request, each
+// replica holding it proposes it: a silent designated replica costs one
+// client RTO, and the retransmit takes the every-replica-proposes path.
 //
 // Determinism: everything downstream of the broadcast — unwrap, the
 // delivery-time MAC re-check, dedup, execution order — is a pure
@@ -22,8 +31,8 @@
 // and replies with identical (status, global_seq, result) tuples.
 // That is what makes the client's t+1 matching-reply quorum sound.
 // Admission decisions (token buckets, pending depth) are deliberately
-// *upstream* of the broadcast and may differ per replica; they only
-// decide who proposes, never what executes.
+// *upstream* of the broadcast and may differ per replica; they, like the
+// designation, only decide who proposes, never what executes.
 #pragma once
 
 #include <cstdint>
@@ -154,6 +163,9 @@ class ClientGateway {
     // by seq, so a late duplicate of an older request cannot free the
     // slot of the one in flight.
     std::set<std::uint64_t> pending;
+    // The newest seq admitted here but left to its designated replica
+    // (0 = none); a retransmit of it is proposed here too.
+    std::uint64_t held = 0;
     // Recent wire-ready replies, newest last, for retransmit hits.
     std::deque<std::pair<std::uint64_t, Bytes>> replies;
   };
@@ -204,6 +216,7 @@ class ClientGateway {
   obs::Counter& rejected_auth_;
   obs::Counter& executed_;
   obs::Counter& replies_sent_;
+  obs::Counter& held_;
   obs::Counter& dup_deliveries_;
   obs::Gauge& pending_depth_;
 };

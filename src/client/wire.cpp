@@ -96,23 +96,24 @@ Bytes encode_reply(const ReplyFrame& f, const ClientMac& mac) {
   return std::move(w).take();
 }
 
-std::optional<RequestFrame> decode_request(BytesView datagram,
-                                           const ClientMac& mac) {
+std::optional<WrappedRequest> decode_request(BytesView datagram,
+                                             const ClientMac& mac) {
   try {
     Reader r(datagram);
     if (r.u8() != kMagic || r.u8() != kVersion ||
         r.u8() != static_cast<std::uint8_t>(FrameType::kRequest)) {
       return std::nullopt;
     }
-    RequestFrame f;
-    f.client_id = r.u32();
-    f.seq = r.u64();
-    f.payload = r.bytes();
-    const Bytes tag = r.bytes();
+    WrappedRequest w;
+    w.client_id = r.u32();
+    w.seq = r.u64();
+    w.payload = r.bytes();
+    w.mac = r.bytes();
     r.expect_end();
-    const Bytes expect = request_mac(f.client_id, f.seq, f.payload, mac);
-    if (!ct_equal(tag, expect)) return std::nullopt;
-    return f;
+    if (!ct_equal(w.mac, request_mac(w.client_id, w.seq, w.payload, mac))) {
+      return std::nullopt;
+    }
+    return w;
   } catch (const SerdeError&) {
     return std::nullopt;
   }

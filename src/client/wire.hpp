@@ -8,6 +8,9 @@
 //   request  client -> every replica: (client_id, seq, payload) under the
 //            client's MAC.  `seq` is the client's own monotonically
 //            increasing request number — the at-most-once dedup handle.
+//            Only designated_replica(client_id, seq, n) proposes the
+//            first transmission; a retransmit is proposed by every
+//            replica that admits it.
 //   reply    replica -> client: (client_id, seq, replica, status,
 //            global_seq, retry hint, result) under the same client key.
 //            A client accepts an execution result only once t+1 distinct
@@ -74,18 +77,6 @@ Bytes encode_request(const RequestFrame& f, BytesView key);
 /// Builds a MAC'd reply datagram.
 Bytes encode_reply(const ReplyFrame& f, const ClientMac& mac);
 
-/// Parses and authenticates.  nullopt on malformed frames or a bad MAC —
-/// callers count, never throw, per the Byzantine-input discipline.
-std::optional<RequestFrame> decode_request(BytesView datagram,
-                                           const ClientMac& mac);
-std::optional<ReplyFrame> decode_reply(BytesView datagram,
-                                       const ClientMac& mac);
-std::optional<ReplyFrame> decode_reply(BytesView datagram, BytesView key);
-
-/// Advisory peeks at the fixed header; no authentication implied.
-std::optional<FrameType> peek_type(BytesView datagram);
-std::optional<std::uint32_t> peek_client_id(BytesView datagram);
-
 /// Channel-payload wrapper: what an admitted request looks like inside
 /// the atomic broadcast.  Replica-originated payloads (sintra_node
 /// --send) travel in the same envelope under a reserved pseudo-client id
@@ -104,6 +95,31 @@ struct WrappedRequest {
   Bytes payload;
   Bytes mac;  // the client's original request MAC (empty for local ids)
 };
+
+/// Parses and authenticates.  nullopt on malformed frames or a bad MAC —
+/// callers count, never throw, per the Byzantine-input discipline.  The
+/// request comes back with its verified tag, i.e. as the channel
+/// envelope a gateway proposes, so each frame is MAC'd once.
+std::optional<WrappedRequest> decode_request(BytesView datagram,
+                                             const ClientMac& mac);
+std::optional<ReplyFrame> decode_reply(BytesView datagram,
+                                       const ClientMac& mac);
+std::optional<ReplyFrame> decode_reply(BytesView datagram, BytesView key);
+
+/// Advisory peeks at the fixed header; no authentication implied.
+std::optional<FrameType> peek_type(BytesView datagram);
+std::optional<std::uint32_t> peek_client_id(BytesView datagram);
+
+/// The one replica that proposes a request's first transmission
+/// (DESIGN.md §12); the others hold it until the client retransmits.
+/// Rotating with `seq` means a slow or silent replica delays only 1/n of
+/// each client's requests.
+[[nodiscard]] inline std::uint32_t designated_replica(std::uint32_t client_id,
+                                                      std::uint64_t seq,
+                                                      int n) {
+  return static_cast<std::uint32_t>((client_id + seq) %
+                                    static_cast<std::uint64_t>(n));
+}
 
 Bytes wrap_request(const WrappedRequest& w);
 /// nullopt if `payload` is not a client envelope (legacy raw payload).

@@ -125,7 +125,10 @@ double SlidingWindowLink::jittered_rto() {
 void SlidingWindowLink::arm_timer() {
   if (timer_armed_ || in_flight_.empty()) return;
   timer_armed_ = true;
-  channel_.call_later(jittered_rto(), [this] { on_timeout(); });
+  const std::uint64_t generation = ++timer_generation_;
+  channel_.call_later(jittered_rto(), [this, generation] {
+    if (generation == timer_generation_) on_timeout();
+  });
 }
 
 void SlidingWindowLink::on_timeout() {
@@ -289,6 +292,10 @@ void SlidingWindowLink::on_datagram(BytesView datagram) {
 
     ++stats_.acks_received;
     // Cumulative: everything below `seq` is delivered at the peer.
+    // Progress restarts the retransmit timer (RFC 6298 §5.3): it then
+    // measures one RTO from the latest progress, not from the oldest
+    // send, so steady traffic never expires it.
+    if (base_ < seq) timer_armed_ = false;
     const double now = channel_.now_ms();
     while (base_ < seq) {
       const auto it = in_flight_.find(base_);

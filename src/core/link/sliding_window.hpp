@@ -23,6 +23,8 @@
 // the measured round-trip time (Jacobson/Karels smoothing, Karn's rule:
 // retransmitted frames are never sampled), backs off exponentially on
 // every expiry, and is jittered to avoid synchronized retransmit storms.
+// The one timer restarts whenever an ACK acknowledges new data (RFC 6298
+// §5.3), so it expires only after a full RTO without progress.
 // Timing never enters protocol logic above the link — it only decides
 // *when to resend*, never *what to deliver*.
 //
@@ -220,6 +222,8 @@ class SlidingWindowLink {
   std::uint64_t next_seq_ = 0;
   std::uint64_t base_ = 0;  // lowest unacked
   bool timer_armed_ = false;
+  // Bumped on every arm; a callback from an earlier arm does nothing.
+  std::uint64_t timer_generation_ = 0;
 
   // Adaptive retransmission timeout.
   std::uint64_t jitter_state_;  // per-link deterministic LCG

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -108,7 +109,15 @@ TEST(ClientWire, MacBytesPinned) {
       "ce74b4";
   EXPECT_EQ(hex_encode(encode_request(f, key)), request_hex);
   EXPECT_EQ(hex_encode(encode_request(f, mac)), request_hex);
-  EXPECT_TRUE(decode_request(encode_request(f, key), mac).has_value());
+  // decode_request hands back the verified tag, so the decoded request
+  // is the channel envelope as is: wrap tag, id, seq, payload, MAC.
+  const auto decoded = decode_request(encode_request(f, key), mac);
+  ASSERT_TRUE(decoded.has_value());
+  const char* envelope_hex =
+      "c600000005000000000000002a0000000e70696e6e6564207061796c6f61640000"
+      "00203f45e31097199099586e111c14b20ced5a54393054881988c9a4a09bd8ce74"
+      "b4";
+  EXPECT_EQ(hex_encode(wrap_request(*decoded)), envelope_hex);
 
   ReplyFrame r;
   r.client_id = 5;
@@ -169,6 +178,17 @@ struct GatewayHarness {
     return encode_request(f, table.key(id));
   }
 
+  /// The channel envelope another replica proposes for (id, seq).
+  Bytes wrapped(std::uint32_t id, std::uint64_t seq,
+                const std::string& payload) {
+    WrappedRequest w;
+    w.client_id = id;
+    w.seq = seq;
+    w.payload = to_bytes(payload);
+    w.mac = request_mac(id, seq, w.payload, ClientMac(table.key(id)));
+    return wrap_request(w);
+  }
+
   /// Delivers everything submitted so far (in order) back to the
   /// gateway, as the atomic channel would.
   void deliver_submitted() {
@@ -209,7 +229,9 @@ TEST(ClientGateway, RejectsBadMacForgedIdAndMalformed) {
 }
 
 TEST(ClientGateway, AdmitExecuteReplyThenDedupReplay) {
-  GatewayHarness h;
+  ClientGateway::Options opts;
+  opts.replica = designated_replica(5, 1, opts.n);
+  GatewayHarness h(opts);
   const Bytes req = h.request(5, 1, "add 1");
   h.gw->on_request_datagram(req, "addr5");
   ASSERT_EQ(h.submitted.size(), 1u);
@@ -234,9 +256,13 @@ TEST(ClientGateway, AdmitExecuteReplyThenDedupReplay) {
 TEST(ClientGateway, StaleSeqAfterCacheEviction) {
   ClientGateway::Options opts;
   opts.reply_cache = 1;
+  opts.replica = designated_replica(4, 1, opts.n);
   GatewayHarness h(opts);
   h.gw->on_request_datagram(h.request(4, 1, "a"), "x");
   h.deliver_submitted();
+  // Seq 2 is designated elsewhere: held on its first transmission and
+  // proposed here on the client's retransmit.
+  h.gw->on_request_datagram(h.request(4, 2, "b"), "x");
   h.gw->on_request_datagram(h.request(4, 2, "b"), "x");
   h.deliver_submitted();  // seq 2's reply evicts seq 1's from the cache
   h.gw->on_request_datagram(h.request(4, 1, "a"), "x");
@@ -250,12 +276,7 @@ TEST(ClientGateway, ExecutedBeforeFirstDatagramAnswersFromCache) {
   GatewayHarness h;
   // Another replica proposed client 6's request; it executes here before
   // any of the client's datagrams arrived, so there is no one to reply to.
-  WrappedRequest w;
-  w.client_id = 6;
-  w.seq = 1;
-  w.payload = to_bytes("late");
-  w.mac = request_mac(6, 1, w.payload, ClientMac(h.table.key(6)));
-  ASSERT_TRUE(h.gw->on_delivered(wrap_request(w)).has_value());
+  ASSERT_TRUE(h.gw->on_delivered(h.wrapped(6, 1, "late")).has_value());
   EXPECT_TRUE(h.replies.empty());
   // The client's retransmit finally arrives: it gets the executed kOk,
   // not kStale, and nothing is proposed or executed again.
@@ -274,18 +295,20 @@ TEST(ClientGateway, RateLimitShedsWithOverloadedReply) {
   opts.global_burst = 2.0;
   opts.rate_per_sec = 1000.0;  // per-client bucket out of the way
   opts.burst = 1000.0;
+  // Clients 1, 5 and 9 share the designated replica of their seq 1.
+  opts.replica = designated_replica(1, 1, opts.n);
   GatewayHarness h(opts);
   h.gw->on_request_datagram(h.request(1, 1, "a"), "a1");
-  h.gw->on_request_datagram(h.request(2, 1, "b"), "a2");
-  h.gw->on_request_datagram(h.request(3, 1, "c"), "a3");  // bucket empty
+  h.gw->on_request_datagram(h.request(5, 1, "b"), "a5");
+  h.gw->on_request_datagram(h.request(9, 1, "c"), "a9");  // bucket empty
   EXPECT_EQ(h.submitted.size(), 2u);
-  auto reply = h.last_reply(3, "a3");
+  auto reply = h.last_reply(9, "a9");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, Status::kOverloaded);
 
   // Virtual time refills the bucket: same client admitted later.
   h.now_ms += 2000.0;
-  h.gw->on_request_datagram(h.request(3, 1, "c"), "a3");
+  h.gw->on_request_datagram(h.request(9, 1, "c"), "a9");
   EXPECT_EQ(h.submitted.size(), 3u);
 }
 
@@ -293,6 +316,7 @@ TEST(ClientGateway, PerClientBucketIsIndependent) {
   ClientGateway::Options opts;
   opts.rate_per_sec = 1.0;
   opts.burst = 1.0;
+  opts.replica = designated_replica(1, 1, opts.n);  // also client 5's seq 1
   GatewayHarness h(opts);
   // Client 1 exhausts its own bucket (deliver in between so dedup/one-
   // outstanding doesn't mask the rate limit)...
@@ -302,8 +326,8 @@ TEST(ClientGateway, PerClientBucketIsIndependent) {
   auto reply = h.last_reply(1, "a1");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, Status::kOverloaded);
-  // ...client 2 is unaffected.
-  h.gw->on_request_datagram(h.request(2, 1, "c"), "a2");
+  // ...client 5 is unaffected.
+  h.gw->on_request_datagram(h.request(5, 1, "c"), "a5");
   EXPECT_EQ(h.submitted.size(), 1u);
 }
 
@@ -311,19 +335,21 @@ TEST(ClientGateway, BackpressureUnderFullPipelineWindow) {
   ClientGateway::Options opts;
   opts.max_pending = 2;
   opts.retry_hint_ms = 75;
+  // Clients 1, 5 and 9 share the designated replica of their seq 1.
+  opts.replica = designated_replica(1, 1, opts.n);
   GatewayHarness h(opts);
   h.gw->on_request_datagram(h.request(1, 1, "a"), "a1");
-  h.gw->on_request_datagram(h.request(2, 1, "b"), "a2");
-  h.gw->on_request_datagram(h.request(3, 1, "c"), "a3");  // window full
+  h.gw->on_request_datagram(h.request(5, 1, "b"), "a5");
+  h.gw->on_request_datagram(h.request(9, 1, "c"), "a9");  // window full
   EXPECT_EQ(h.submitted.size(), 2u);
-  auto reply = h.last_reply(3, "a3");
+  auto reply = h.last_reply(9, "a9");
   ASSERT_TRUE(reply.has_value());
   EXPECT_EQ(reply->status, Status::kRetryLater);
   EXPECT_EQ(reply->retry_ms, 75u);
 
   // Deliveries drain the window; the retry is admitted.
   h.deliver_submitted();
-  h.gw->on_request_datagram(h.request(3, 1, "c"), "a3");
+  h.gw->on_request_datagram(h.request(9, 1, "c"), "a9");
   EXPECT_EQ(h.submitted.size(), 1u);
 }
 
@@ -349,12 +375,7 @@ TEST(ClientGateway, OutOfOrderDeliveryExecutesOnceEach) {
   // Different replicas proposed different seqs of client 2; the order
   // delivered 2 before 1, and 2 again (two proposers raced).
   auto wrapped = [&](std::uint64_t seq) {
-    WrappedRequest w;
-    w.client_id = 2;
-    w.seq = seq;
-    w.payload = to_bytes("p" + std::to_string(seq));
-    w.mac = request_mac(2, seq, w.payload, ClientMac(h.table.key(2)));
-    return wrap_request(w);
+    return h.wrapped(2, seq, "p" + std::to_string(seq));
   };
   EXPECT_TRUE(h.gw->on_delivered(wrapped(2)).has_value());
   EXPECT_FALSE(h.gw->on_delivered(wrapped(2)).has_value());  // duplicate
@@ -401,9 +422,11 @@ TEST(ClientGateway, LocalQueueDrainsAsWindowFrees) {
 }
 
 TEST(ClientGateway, LateOwnDuplicateKeepsTheNextRequestPending) {
-  GatewayHarness h;
-  obs::Counter& dedup =
-      obs::registry().counter("client.dedup_hits", obs::party_labels(0));
+  ClientGateway::Options opts;
+  opts.replica = designated_replica(7, 1, opts.n);
+  GatewayHarness h(opts);
+  obs::Counter& dedup = obs::registry().counter(
+      "client.dedup_hits", obs::party_labels(static_cast<int>(opts.replica)));
   h.gw->on_request_datagram(h.request(7, 1, "a"), "c7");
   ASSERT_EQ(h.submitted.size(), 1u);
   const Bytes own_s1 = h.submitted[0];
@@ -411,6 +434,8 @@ TEST(ClientGateway, LateOwnDuplicateKeepsTheNextRequestPending) {
   // Another replica's copy of s=1 is ordered first and executes it.
   EXPECT_TRUE(h.gw->on_delivered(own_s1).has_value());
   EXPECT_EQ(h.gw->pending_depth(), 0u);
+  // s=2 is designated elsewhere: held first, proposed on its retransmit.
+  h.gw->on_request_datagram(h.request(7, 2, "b"), "c7");
   h.gw->on_request_datagram(h.request(7, 2, "b"), "c7");
   ASSERT_EQ(h.submitted.size(), 1u);
   EXPECT_EQ(h.gw->pending_depth(), 1u);
@@ -426,6 +451,153 @@ TEST(ClientGateway, LateOwnDuplicateKeepsTheNextRequestPending) {
   h.deliver_submitted();
   EXPECT_EQ(h.gw->pending_depth(), 0u);
   EXPECT_EQ(h.gw->executed_count(), 2u);
+}
+
+// ---------------------------------------------------------------------------
+// Designation: only designated_replica(id, seq, n) proposes a first
+// transmission; the others hold the seq until the client retransmits.
+
+std::uint64_t party_counter(const char* name, int party) {
+  return obs::registry().counter(name, obs::party_labels(party)).value();
+}
+
+TEST(ClientGateway, DesignatedReplicaRotatesWithSeq) {
+  std::set<std::uint32_t> seen;
+  for (std::uint64_t seq = 1; seq <= 4; ++seq) {
+    seen.insert(designated_replica(6, seq, 4));
+  }
+  EXPECT_EQ(seen, (std::set<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(designated_replica(6, 3, 4), 1u);
+  EXPECT_EQ(designated_replica(0xFFFFFFFFu, 1, 7), 0x100000000ull % 7);
+}
+
+TEST(ClientGateway, OnlyTheDesignatedReplicaProposes) {
+  const std::uint32_t designated = designated_replica(6, 3, 4);
+  for (std::uint32_t r = 0; r < 4; ++r) {
+    ClientGateway::Options opts;
+    opts.replica = r;
+    GatewayHarness h(opts);
+    const int party = static_cast<int>(r);
+    const std::uint64_t held_before = party_counter("client.held", party);
+    h.gw->on_request_datagram(h.request(6, 3, "x"), "c6");
+    if (r == designated) {
+      EXPECT_EQ(h.submitted.size(), 1u) << "replica " << r;
+      EXPECT_EQ(h.gw->pending_depth(), 1u);
+      EXPECT_EQ(party_counter("client.held", party), held_before);
+    } else {
+      // Held: nothing proposed, nothing pending, and no reply at all.
+      EXPECT_TRUE(h.submitted.empty()) << "replica " << r;
+      EXPECT_EQ(h.gw->pending_depth(), 0u);
+      EXPECT_TRUE(h.replies.empty());
+      EXPECT_EQ(party_counter("client.held", party), held_before + 1);
+    }
+  }
+}
+
+TEST(ClientGateway, RetransmitOfTheHeldSeqIsProposed) {
+  ClientGateway::Options opts;
+  opts.replica = 0;
+  ASSERT_NE(designated_replica(6, 3, opts.n), opts.replica);
+  GatewayHarness h(opts);
+  h.gw->on_request_datagram(h.request(6, 3, "x"), "c6");
+  EXPECT_TRUE(h.submitted.empty());
+  // The client's RTO re-multicast: this replica now proposes too.
+  h.gw->on_request_datagram(h.request(6, 3, "x"), "c6");
+  ASSERT_EQ(h.submitted.size(), 1u);
+  EXPECT_EQ(h.gw->pending_depth(), 1u);
+  // A further copy while it is in flight is a dedup hit.
+  h.gw->on_request_datagram(h.request(6, 3, "x"), "c6");
+  EXPECT_EQ(h.submitted.size(), 1u);
+  h.deliver_submitted();
+  auto reply = h.last_reply(6, "c6");
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, Status::kOk);
+  EXPECT_EQ(h.gw->executed_count(), 1u);
+}
+
+TEST(ClientGateway, NewerSeqReplacesTheHeldOne) {
+  ClientGateway::Options opts;
+  opts.replica = 0;
+  GatewayHarness h(opts);
+  // Client 4's seqs 1 and 2 are designated to replicas 1 and 2.
+  ASSERT_NE(designated_replica(4, 1, opts.n), opts.replica);
+  ASSERT_NE(designated_replica(4, 2, opts.n), opts.replica);
+  h.gw->on_request_datagram(h.request(4, 1, "a"), "c4");
+  EXPECT_TRUE(h.gw->on_delivered(h.wrapped(4, 1, "a")).has_value());
+  h.gw->on_request_datagram(h.request(4, 2, "b"), "c4");
+  EXPECT_TRUE(h.submitted.empty());
+  // Seq 2 is the held one now: its retransmit is proposed.
+  h.gw->on_request_datagram(h.request(4, 2, "b"), "c4");
+  ASSERT_EQ(h.submitted.size(), 1u);
+  const auto w = unwrap_request(h.submitted[0]);
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->seq, 2u);
+}
+
+TEST(ClientGateway, ExecutedWhileHeldAnswersFromCache) {
+  ClientGateway::Options opts;
+  opts.replica = 0;
+  ASSERT_NE(designated_replica(4, 1, opts.n), opts.replica);
+  GatewayHarness h(opts);
+  h.gw->on_request_datagram(h.request(4, 1, "a"), "c4");
+  // The designated replica's proposal executes here while it is held.
+  ASSERT_TRUE(h.gw->on_delivered(h.wrapped(4, 1, "a")).has_value());
+  auto reply = h.last_reply(4, "c4");
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->status, Status::kOk);
+  // The client's retransmit gets the cached kOk; nothing is proposed.
+  h.gw->on_request_datagram(h.request(4, 1, "a"), "c4");
+  ASSERT_EQ(h.replies["c4"].size(), 2u);
+  EXPECT_EQ(h.replies["c4"][0], h.replies["c4"][1]);
+  EXPECT_TRUE(h.submitted.empty());
+  EXPECT_EQ(h.gw->executed_count(), 1u);
+}
+
+TEST(ClientGateway, AdmissionRunsBeforeDesignation) {
+  {
+    // Global bucket of one token: the held request spends it, so both a
+    // non-designated and a designated request after it are shed.
+    ClientGateway::Options opts;
+    opts.replica = 0;
+    opts.global_rate_per_sec = 1.0;
+    opts.global_burst = 1.0;
+    GatewayHarness h(opts);
+    ASSERT_NE(designated_replica(4, 1, opts.n), opts.replica);
+    ASSERT_NE(designated_replica(5, 1, opts.n), opts.replica);
+    ASSERT_EQ(designated_replica(3, 1, opts.n), opts.replica);
+    h.gw->on_request_datagram(h.request(4, 1, "held"), "c4");
+    h.gw->on_request_datagram(h.request(5, 1, "other"), "c5");
+    h.gw->on_request_datagram(h.request(3, 1, "mine"), "c3");
+    EXPECT_TRUE(h.submitted.empty());
+    EXPECT_FALSE(h.last_reply(4, "c4").has_value());
+    for (const std::uint32_t id : {5u, 3u}) {
+      auto reply = h.last_reply(id, "c" + std::to_string(id));
+      ASSERT_TRUE(reply.has_value()) << "client " << id;
+      EXPECT_EQ(reply->status, Status::kOverloaded);
+    }
+  }
+  {
+    // A full pending window answers a non-designated request kRetryLater
+    // too, and does not hold it.
+    ClientGateway::Options opts;
+    opts.replica = 0;
+    opts.max_pending = 1;
+    opts.retry_hint_ms = 75;
+    GatewayHarness h(opts);
+    h.gw->on_request_datagram(h.request(3, 1, "mine"), "c3");
+    ASSERT_EQ(h.submitted.size(), 1u);
+    h.gw->on_request_datagram(h.request(4, 1, "held"), "c4");
+    auto reply = h.last_reply(4, "c4");
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->status, Status::kRetryLater);
+    EXPECT_EQ(reply->retry_ms, 75u);
+    h.deliver_submitted();
+    // Its next copy is a first sighting here, so it is held, not proposed.
+    h.gw->on_request_datagram(h.request(4, 1, "held"), "c4");
+    EXPECT_TRUE(h.submitted.empty());
+    h.gw->on_request_datagram(h.request(4, 1, "held"), "c4");
+    EXPECT_EQ(h.submitted.size(), 1u);
+  }
 }
 
 TEST(ServiceClient, TimerOfAnsweredRequestDoesNotResendTheNext) {
@@ -476,11 +648,13 @@ TEST(ServiceClient, TimerOfAnsweredRequestDoesNotResendTheNext) {
 // ---------------------------------------------------------------------------
 // End-to-end in the simulator: four replica::Replica objects (the class
 // sintra_node runs) on an atomic channel, real quorum-collecting clients,
-// one Byzantine replica mangling replies.
+// optionally one Byzantine replica that mangles its replies or whose
+// gateway never proposes.
 
 struct SimScenario {
   static constexpr int kClients = 6;
   static constexpr int kRequests = 2;
+  static constexpr double kRtoMs = 400.0;
 
   Cluster cluster;
   KeyTable table = make_key_table(kClients, 11);
@@ -489,16 +663,21 @@ struct SimScenario {
   std::vector<std::unique_ptr<ReplicatedServiceClient>> clients;
   std::vector<std::vector<std::string>> executed;  // per replica
   std::vector<std::vector<std::string>> outcomes;  // per client
+  // Submit-to-quorum latency by (client, seq), client clock.
+  std::map<std::pair<int, std::uint64_t>, double> latency_ms;
   int done = 0;
 
+  /// `byzantine` mangles its replies; `silent` admits requests but its
+  /// gateway never proposes one.  -1 = none.
   explicit SimScenario(std::uint64_t seed, std::uint64_t client_seed,
-                       int byzantine = -1)
+                       int byzantine = -1, int silent = -1,
+                       double client_loss = 0.05)
       : cluster(4, 1, seed),
-        net(cluster.sim, [client_seed] {
+        net(cluster.sim, [client_seed, client_loss] {
           SimClientNet::Options o;
           o.latency_ms = 1.5;
           o.jitter_ms = 1.0;
-          o.loss = 0.05;
+          o.loss = client_loss;
           o.seed = client_seed;
           return o;
         }()) {
@@ -526,6 +705,7 @@ struct SimScenario {
           return d;
         });
       }
+      if (i == silent) gw.set_submit([](const Bytes&) { return true; });
     }
     outcomes.resize(kClients);
     for (int c = 0; c < kClients; ++c) {
@@ -535,7 +715,7 @@ struct SimScenario {
       copts.key = table.key(id);
       copts.n = 4;
       copts.t = 1;
-      copts.rto_ms = 400.0;
+      copts.rto_ms = kRtoMs;
       copts.max_attempts = 20;
       clients.push_back(std::make_unique<ReplicatedServiceClient>(
           copts, net.client_hooks(id)));
@@ -557,6 +737,7 @@ struct SimScenario {
     clients[static_cast<std::size_t>(c)]->submit(
         to_bytes("c" + std::to_string(c) + ":req" + std::to_string(k)),
         [this, c](ReplicatedServiceClient::Outcome o) {
+          latency_ms[{c, o.seq}] = o.latency_ms;
           outcomes[static_cast<std::size_t>(c)].push_back(
               (o.ok ? "ok@" + std::to_string(o.global_seq) + ":" +
                           to_string(o.result)
@@ -580,13 +761,10 @@ struct SimScenario {
 using Sequence = std::vector<std::string>;
 
 /// The executed sequence (identical on every replica) and the client
-/// outcomes that the hand-wired gateway + atomic channel harness this
-/// scenario replaced produced for seeds 1 and 2, run with the channel
-/// protocol id Replica uses ("cluster.atomic"; the id enters the coin
-/// names, so it shapes the order) and the same batching and per-client
-/// rate.  That harness logged "<client id>:<payload>"; the payloads name
-/// their client, so only the payloads are kept.  Replica must reproduce
-/// them exactly.
+/// outcomes for seeds 1 and 2.  Who proposes a request shapes the order,
+/// so these were recorded once each request's first transmission came
+/// from its designated replica alone (DESIGN.md §12); Replica must
+/// reproduce them exactly.
 struct Recorded {
   std::uint64_t seed;
   Sequence executed;
@@ -595,43 +773,56 @@ struct Recorded {
 
 const Recorded kRecorded[] = {
     {1,
-     {"c3:req0", "c4:req0", "c2:req0", "c1:req0", "c0:req0", "c5:req0",
-      "c4:req1", "c3:req1", "c2:req1", "c5:req1", "c1:req1", "c0:req1"},
-     {{"ok@4:ok:4", "ok@11:ok:11"},
-      {"ok@3:ok:3", "ok@10:ok:10"},
-      {"ok@2:ok:2", "ok@8:ok:8"},
-      {"ok@0:ok:0", "ok@7:ok:7"},
-      {"ok@1:ok:1", "ok@6:ok:6"},
-      {"ok@5:ok:5", "ok@9:ok:9"}}},
-    {2,
-     {"c0:req0", "c2:req0", "c1:req0", "c5:req0", "c3:req0", "c4:req0",
-      "c0:req1", "c2:req1", "c1:req1", "c3:req1", "c4:req1", "c5:req1"},
-     {{"ok@0:ok:0", "ok@6:ok:6"},
-      {"ok@2:ok:2", "ok@8:ok:8"},
+     {"c3:req0", "c2:req0", "c0:req0", "c1:req0", "c4:req0", "c5:req0",
+      "c1:req1", "c2:req1", "c0:req1", "c3:req1", "c4:req1", "c5:req1"},
+     {{"ok@2:ok:2", "ok@8:ok:8"},
+      {"ok@3:ok:3", "ok@6:ok:6"},
       {"ok@1:ok:1", "ok@7:ok:7"},
-      {"ok@4:ok:4", "ok@9:ok:9"},
-      {"ok@5:ok:5", "ok@10:ok:10"},
-      {"ok@3:ok:3", "ok@11:ok:11"}}},
+      {"ok@0:ok:0", "ok@9:ok:9"},
+      {"ok@4:ok:4", "ok@10:ok:10"},
+      {"ok@5:ok:5", "ok@11:ok:11"}}},
+    {2,
+     {"c5:req0", "c2:req0", "c0:req0", "c1:req0", "c3:req0", "c2:req1",
+      "c5:req1", "c0:req1", "c1:req1", "c4:req0", "c4:req1", "c3:req1"},
+     {{"ok@2:ok:2", "ok@7:ok:7"},
+      {"ok@3:ok:3", "ok@8:ok:8"},
+      {"ok@1:ok:1", "ok@5:ok:5"},
+      {"ok@4:ok:4", "ok@11:ok:11"},
+      {"ok@9:ok:9", "ok@10:ok:10"},
+      {"ok@0:ok:0", "ok@6:ok:6"}}},
 };
+
+void expect_all_ok_and_identical(const SimScenario& s) {
+  for (int c = 0; c < SimScenario::kClients; ++c) {
+    const auto& outcomes = s.outcomes[static_cast<std::size_t>(c)];
+    ASSERT_EQ(outcomes.size(), static_cast<std::size_t>(SimScenario::kRequests));
+    for (const auto& o : outcomes) {
+      EXPECT_TRUE(o.rfind("ok@", 0) == 0) << "client " << c << ": " << o;
+    }
+  }
+  for (int i = 1; i < 4; ++i) {
+    EXPECT_EQ(s.executed[static_cast<std::size_t>(i)], s.executed[0]);
+  }
+  const std::set<std::string> unique(s.executed[0].begin(),
+                                     s.executed[0].end());
+  EXPECT_EQ(unique.size(), s.executed[0].size());
+  EXPECT_EQ(s.executed[0].size(),
+            static_cast<std::size_t>(SimScenario::kClients *
+                                     SimScenario::kRequests));
+}
+
+std::uint64_t total_retransmits(const SimScenario& s) {
+  std::uint64_t total = 0;
+  for (const auto& c : s.clients) total += c->retransmits();
+  return total;
+}
 
 TEST(ClientServiceE2E, QuorumAssemblyWithByzantineReplica) {
   SimScenario s(/*seed=*/1, /*client_seed=*/21, /*byzantine=*/3);
   ASSERT_TRUE(s.run());
-  for (int c = 0; c < SimScenario::kClients; ++c) {
-    ASSERT_EQ(s.outcomes[static_cast<std::size_t>(c)].size(),
-              static_cast<std::size_t>(SimScenario::kRequests));
-    for (const auto& o : s.outcomes[static_cast<std::size_t>(c)]) {
-      EXPECT_TRUE(o.rfind("ok@", 0) == 0) << "client " << c << ": " << o;
-    }
-  }
   // Every replica executed the identical sequence (the quorum argument's
   // premise), and each request exactly once.
-  for (int i = 1; i < 4; ++i) {
-    EXPECT_EQ(s.executed[static_cast<std::size_t>(i)], s.executed[0]);
-  }
-  EXPECT_EQ(s.executed[0].size(),
-            static_cast<std::size_t>(SimScenario::kClients *
-                                     SimScenario::kRequests));
+  expect_all_ok_and_identical(s);
 }
 
 TEST(ClientServiceE2E, DeterministicReplayAcrossSeeds) {
@@ -641,7 +832,7 @@ TEST(ClientServiceE2E, DeterministicReplayAcrossSeeds) {
     ASSERT_TRUE(a.run());
     ASSERT_TRUE(b.run());
     // Same seeds -> bit-identical execution sequences and outcomes, and
-    // the very ones the hand-wired harness produced.
+    // the very ones recorded above.
     EXPECT_EQ(a.executed, b.executed);
     EXPECT_EQ(a.outcomes, b.outcomes);
     for (const Sequence& executed : a.executed) {
@@ -649,6 +840,61 @@ TEST(ClientServiceE2E, DeterministicReplayAcrossSeeds) {
     }
     EXPECT_EQ(a.outcomes, rec.outcomes) << "seed " << rec.seed;
   }
+}
+
+TEST(ClientServiceE2E, CleanRunOrdersEachRequestOnce) {
+  std::uint64_t dup_before[4], admitted_before = 0, held_before = 0;
+  for (int i = 0; i < 4; ++i) {
+    dup_before[i] = party_counter("client.dup_deliveries", i);
+    admitted_before += party_counter("client.admitted", i);
+    held_before += party_counter("client.held", i);
+  }
+  SimScenario s(/*seed=*/1, /*client_seed=*/41, /*byzantine=*/-1,
+                /*silent=*/-1, /*client_loss=*/0.0);
+  ASSERT_TRUE(s.run());
+  expect_all_ok_and_identical(s);
+  EXPECT_EQ(total_retransmits(s), 0u);
+  constexpr std::uint64_t kTotal =
+      SimScenario::kClients * SimScenario::kRequests;
+  std::uint64_t admitted = 0, held = 0;
+  for (int i = 0; i < 4; ++i) {
+    // Each request was proposed once, so none was ordered twice.
+    EXPECT_EQ(party_counter("client.dup_deliveries", i), dup_before[i])
+        << "replica " << i;
+    admitted += party_counter("client.admitted", i);
+    held += party_counter("client.held", i);
+  }
+  EXPECT_EQ(admitted - admitted_before, kTotal);
+  EXPECT_EQ(held - held_before, 3 * kTotal);
+}
+
+TEST(ClientServiceE2E, SilentDesignatedReplicaCostsOneClientRto) {
+  constexpr int kSilent = 2;
+  SimScenario s(/*seed=*/1, /*client_seed=*/31, /*byzantine=*/-1,
+                /*silent=*/kSilent, /*client_loss=*/0.0);
+  ASSERT_TRUE(s.run());
+  // Every request completes with a t+1 kOk quorum, executed exactly once
+  // in one order on every replica (the silent one included).
+  expect_all_ok_and_identical(s);
+  ASSERT_EQ(s.latency_ms.size(),
+            static_cast<std::size_t>(SimScenario::kClients *
+                                     SimScenario::kRequests));
+  std::uint64_t delayed = 0;
+  for (const auto& [key, ms] : s.latency_ms) {
+    const auto [c, seq] = key;
+    if (designated_replica(static_cast<std::uint32_t>(c), seq, 4) ==
+        static_cast<std::uint32_t>(kSilent)) {
+      // Held everywhere else until the client's one retransmit.
+      ++delayed;
+      EXPECT_GE(ms, SimScenario::kRtoMs) << "client " << c << " seq " << seq;
+      EXPECT_LT(ms, 2 * SimScenario::kRtoMs)
+          << "client " << c << " seq " << seq;
+    } else {
+      EXPECT_LT(ms, SimScenario::kRtoMs) << "client " << c << " seq " << seq;
+    }
+  }
+  EXPECT_GT(delayed, 0u);
+  EXPECT_EQ(total_retransmits(s), delayed);
 }
 
 }  // namespace

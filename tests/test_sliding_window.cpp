@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+
 #include "core/broadcast/reliable_broadcast.hpp"
 #include "core/channel/atomic_channel.hpp"
 #include "sim_fixture.hpp"
@@ -646,6 +648,84 @@ TEST(SlidingWindowRto, ClocklessChannelKeepsFixedTimeout) {
   EXPECT_EQ(lp.delivered_at_b, std::vector<std::string>{"no-clock"});
   EXPECT_EQ(lp.a.stats().rtt_samples, 0u);
   EXPECT_LT(lp.a.stats().srtt_ms, 0.0);
+}
+
+/// Clockless channel whose timers fire when virtual time reaches them,
+/// so a test can tell a timer armed at the first send from one restarted
+/// at the latest acknowledgment.
+class TimedChannel final : public DatagramChannel {
+ public:
+  void send_datagram(Bytes datagram) override {
+    sent.push_back(std::move(datagram));
+  }
+  void call_later(double delay_ms, std::function<void()> fn) override {
+    timers.emplace(now + delay_ms, std::move(fn));
+  }
+  void advance(double ms) {
+    const double until = now + ms;
+    while (!timers.empty() && timers.begin()->first <= until) {
+      auto due = timers.extract(timers.begin());
+      now = due.key();
+      due.mapped()();
+    }
+    now = until;
+  }
+  double now = 0.0;
+  std::vector<Bytes> sent;
+  std::multimap<double, std::function<void()>> timers;
+};
+
+TEST(SlidingWindowRto, AckProgressRestartsTheTimer) {
+  SlidingWindowLink::Options opts;
+  opts.retransmit_ms = 100.0;
+  opts.jitter = 0.0;
+  TimedChannel ca;
+  ScriptedChannel cb;
+  SlidingWindowLink a(ca, 0, 1, to_bytes("0123456789abcdef"), opts);
+  SlidingWindowLink b(cb, 1, 0, to_bytes("0123456789abcdef"), opts);
+  std::size_t delivered = 0;
+  b.set_deliver_callback([&](Bytes) { ++delivered; });
+  auto a_to_b = [&] {
+    auto data = std::move(ca.sent);
+    ca.sent.clear();
+    for (const auto& d : data) b.on_datagram(d);
+  };
+  auto b_to_a = [&] {
+    auto acks = std::move(cb.sent);
+    cb.sent.clear();
+    for (const auto& d : acks) a.on_datagram(d);
+  };
+  a.announce();
+  b.announce();
+  a_to_b();
+  b_to_a();
+  // A frame every 40 ms, each acked 60 ms after its send: two frames are
+  // always in flight, and the stream outlasts the RTO many times over,
+  // but no frame ever waits a full RTO for its ACK.
+  constexpr int kFrames = 40;
+  for (int k = 0; k < kFrames; ++k) {
+    a.send(to_bytes("s" + std::to_string(k)));
+    ca.advance(20.0);
+    b_to_a();  // the ACK for frame k-1
+    ca.advance(20.0);
+    a_to_b();  // frame k arrives
+  }
+  b_to_a();
+  EXPECT_EQ(delivered, static_cast<std::size_t>(kFrames));
+  EXPECT_EQ(a.acked_seq(), static_cast<std::uint64_t>(kFrames));
+  EXPECT_EQ(a.stats().retransmissions, 0u);
+  EXPECT_EQ(a.stats().backoffs, 0u);
+
+  // A lost frame is still resent one RTO after it was sent.
+  a.send(to_bytes("lost"));
+  ca.sent.clear();
+  ca.advance(99.0);
+  EXPECT_EQ(a.stats().retransmissions, 0u);
+  ca.advance(1.0);
+  EXPECT_EQ(a.stats().retransmissions, 1u);
+  a_to_b();
+  b_to_a();
+  EXPECT_EQ(delivered, static_cast<std::size_t>(kFrames) + 1);
 }
 
 // --- Integration: a Byzantine protocol over lossy datagram links ---
