@@ -36,7 +36,8 @@
 # stays serial.  Each pair times the checks alone right after its serial
 # sample; p is the smallest of those per-pair shares
 # (verify_share_fraction_min).  run_parallel runs the checks on
-# T = threads + 1 threads (the caller and the workers).  On c cores they
+# T = threads threads (the caller counts as one of the pool's threads,
+# so threads - 1 workers help it).  On c cores they
 # take M(c) check-times:
 #     M(c) = ceil(k/T)                                  if c >= T
 #     M(c) = floor(k/T) * T/c + max(1, (k mod T)/c)     if c <  T
@@ -53,12 +54,12 @@
 # about one core, while hardware_concurrency() still says 4, is so judged
 # on the basis it can show instead of failing on cores it never had.
 #
-# At n=16 (k = 11) with 4 workers (T = 5) a quiet host measures p at
-# about 0.72-0.75, and four idle cores give this region only about
-# 2.0x (speedup(4) = 1.96-2.05): the bar sits at the region's cap,
-# so a 4-core host is judged on the syscall basis unless every pair saw
-# all four cores and p came out high.  With 8 workers (T = 9) the checks
-# take two rounds and 2x needs about 4 free cores.
+# At n=16 (k = 11) with a 4-thread pool (T = 4) a quiet host measures p
+# at about 0.72-0.75, and four idle cores give this region about
+# 2.1-2.2x (speedup(4) = 1 / ((1 - p) + 3p/11)): 2x needs 3.0-3.4 of
+# the four cores, so a 4-core host is judged on the syscall basis when
+# a pair saw less than that.  With 8 threads (T = 8) the checks take two
+# rounds on eight free cores, and 2x needs the same 3.0-3.4 cores.
 #
 # scale_sweep itself fails the run, whatever the basis, unless every
 # parallel sample raised crypto.parallel_verify_shares{op=threshold_sig}
@@ -179,7 +180,7 @@ syscall_reduction = round(
 # Basis rule: see the header.
 threads, k = fallback["threads"], fallback["k"]
 p = fallback["verify_share_fraction_min"]
-T = min(threads + 1, k)
+T = min(threads, k)
 
 
 def makespan(c):

@@ -3,11 +3,12 @@
 # chosen by $SINTRA_SANITIZE and runs the suites that benefit most:
 #
 #   SINTRA_SANITIZE=address,undefined (default)
-#     ASan+UBSan over the bignum/crypto suites and the net subsystem.
-#     The fast-exponentiation layer (multi-exp windows, comb tables,
-#     scratch-buffer reuse) does manual limb-buffer arithmetic, and the
-#     net layer (epoll loop, raw UDP buffers, frame parsing of
-#     attacker-controlled datagrams) handles untrusted input.
+#     ASan+UBSan over the bignum/crypto suites, the net subsystem and
+#     the atomic channel suites.  The fast-exponentiation layer (multi-exp
+#     windows, comb tables, scratch-buffer reuse) does manual limb-buffer
+#     arithmetic, and the net layer (epoll loop, raw UDP buffers, frame
+#     parsing of attacker-controlled datagrams) and the atomic channel
+#     (signed bundles from Byzantine peers) handle untrusted input.
 #
 #   SINTRA_SANITIZE=thread
 #     TSan over the concurrency surface: the crypto worker pool (jthread
@@ -44,15 +45,17 @@ else
   # worker pool, and SHA/HMAC with the keyed link-MAC state), the client
   # wire format and gateway (stack-built MAC statements, per-client keyed
   # MAC state), the simulated client service end to end (the full replica
-  # composition with client lanes, designation and reply quorums), and
-  # the net subsystem (event loop, UDP transport, sliding-window link,
-  # 4-process clusters).
+  # composition with client lanes, designation and reply quorums), the
+  # net subsystem (event loop, UDP transport, sliding-window link,
+  # 4-process clusters), and the atomic channel suites (bundle decoding
+  # of Byzantine frames, pipelined rounds, the round-opening rule).
   filter='BigInt|BignumDiff|KnuthD|Montgomery|MultiExp|FixedBase|GroupCache'
   filter+='|Karatsuba|Prime'
   filter+='|Rsa|VerifyMemo|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
   filter+='|ThresholdSig|Coin|Tdh2|Optimistic|WorkPool'
   filter+='|Dealer|Hash|Sha|Hmac|Aes|ClientGateway|ClientWire|ClientServiceE2E'
   filter+='|EventLoop|UdpSocket|NetEnvironment|SlidingWindow|LocalCluster'
+  filter+='|AtomicChannel|ThroughputMode|ByzantineAtomic'
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 fi

@@ -28,6 +28,7 @@ AtomicChannel::AtomicChannel(Environment& env, Dispatcher& dispatcher,
   m_rounds_ = &reg.counter("channel.rounds", labels);
   m_deliveries_ = &reg.counter("channel.deliveries", labels);
   m_parked_ = &reg.counter("channel.parked_batches", labels);
+  m_rounds_deferred_ = &reg.counter("channel.rounds_deferred", labels);
   m_rounds_in_flight_ = &reg.gauge("channel.rounds_in_flight", labels);
   m_round_ms_ = &reg.histogram("channel.round_ms", labels);
   m_batch_entries_ = &reg.histogram("channel.batch_entries", labels);
@@ -122,12 +123,35 @@ std::optional<Bytes> AtomicChannel::receive() {
   return out;
 }
 
-bool AtomicChannel::have_signable_work() const {
+template <class Visit>
+bool AtomicChannel::walk_bundle(Visit&& visit) const {
+  // Greedy drain of own_queue_ (or, when it holds nothing signable, of
+  // foreign_pool_), skipping keys already signed into an open round; the
+  // count/byte caps bound one bundle (a bundle always carries at least one
+  // payload, so an oversized single payload still ships).  Returns whether
+  // the bundle is full, i.e. a cap ended it.
+  int count = 0;
+  std::size_t bytes = 0;
+  const auto take = [&](const MessageKey& key, const Bytes& payload) {
+    if (count > 0 && config_.max_batch_bytes != 0 &&
+        bytes + payload.size() > config_.max_batch_bytes) {
+      return true;
+    }
+    visit(key, payload);
+    ++count;
+    bytes += payload.size();
+    return count >= max_bundle_entries() ||
+           (config_.max_batch_bytes != 0 && bytes >= config_.max_batch_bytes);
+  };
   for (const auto& [seq, payload] : own_queue_) {
-    if (!inflight_keys_.contains({env_.self(), seq})) return true;
+    const MessageKey key{env_.self(), seq};
+    if (inflight_keys_.contains(key)) continue;
+    if (take(key, payload)) return true;
   }
+  if (count > 0) return false;
   for (const auto& [key, payload] : foreign_pool_) {
-    if (!inflight_keys_.contains(key)) return true;
+    if (inflight_keys_.contains(key)) continue;
+    if (take(key, payload)) return true;
   }
   return false;
 }
@@ -137,12 +161,24 @@ void AtomicChannel::maybe_start_rounds() {
   // `depth()` rounds separate the start cursor from the delivery cursor
   // and there is something to sign (or another party already opened the
   // round, in which case we must participate for its MVBA to gather a
-  // quorum of proposals).
+  // quorum of proposals).  While one of our rounds is still open, our own
+  // work opens a further round only if it fills a whole bundle; partial
+  // work rides the next round a peer opens, or the round flush_decided
+  // opens once the open rounds deliver (Nagle's rule, DESIGN.md §11).
   while (!closed_ && next_start_round_ < next_deliver_round_ + depth()) {
     const int r = next_start_round_;
     const auto it = signed_.find(r);
     const bool externally_started = it != signed_.end() && !it->second.empty();
-    if (!externally_started && !have_signable_work()) break;
+    if (!externally_started) {
+      bool signable = false;
+      const bool full = walk_bundle(
+          [&signable](const MessageKey&, const Bytes&) { signable = true; });
+      if (!signable) break;
+      if (!full && !rounds_.empty()) {
+        m_rounds_deferred_->inc();
+        break;
+      }
+    }
     start_round(r);
   }
 }
@@ -172,32 +208,10 @@ void AtomicChannel::start_round(int round) {
 }
 
 std::vector<AtomicChannel::Entry> AtomicChannel::collect_bundle() const {
-  // Greedy drain of own_queue_, skipping keys already signed into an open
-  // round; the count/byte caps bound one bundle (a bundle always carries
-  // at least one payload, so an oversized single payload still ships).
   std::vector<Entry> out;
-  std::size_t bytes = 0;
-  for (const auto& [seq, payload] : own_queue_) {
-    if (static_cast<int>(out.size()) >= max_bundle_entries()) break;
-    if (!out.empty() && config_.max_batch_bytes != 0 &&
-        bytes + payload.size() > config_.max_batch_bytes) {
-      break;
-    }
-    if (inflight_keys_.contains({env_.self(), seq})) continue;
-    out.push_back(Entry{env_.self(), seq, payload});
-    bytes += payload.size();
-  }
-  if (!out.empty()) return out;
-  for (const auto& [key, payload] : foreign_pool_) {
-    if (static_cast<int>(out.size()) >= max_bundle_entries()) break;
-    if (!out.empty() && config_.max_batch_bytes != 0 &&
-        bytes + payload.size() > config_.max_batch_bytes) {
-      break;
-    }
-    if (inflight_keys_.contains(key)) continue;
+  walk_bundle([&out](const MessageKey& key, const Bytes& payload) {
     out.push_back(Entry{key.first, key.second, payload});
-    bytes += payload.size();
-  }
+  });
   return out;
 }
 

@@ -32,7 +32,10 @@
 // Pipelining: up to pipeline_depth rounds run concurrently (a watermark
 // window over a per-round state map).  Decided batches are delivered
 // strictly in round order; a batch whose round is ahead of the delivery
-// watermark is parked until its predecessors deliver.  With
+// watermark is parked until its predecessors deliver.  While one of its
+// rounds is open, a party opens a further round only for work that fills
+// a whole bundle (Nagle's rule); partial work rides the next round a peer
+// opens, or the one opened once the open rounds deliver.  With
 // pipeline_depth = 1 the validator additionally rejects already-delivered
 // entries (the seed's behavior); with a deeper window that check moves to
 // delivery time, where the duplicate skip is a deterministic function of
@@ -189,7 +192,10 @@ class AtomicChannel : public Protocol, public ChannelBase {
   void enqueue_marker(std::uint8_t marker, BytesView payload);
   void maybe_start_rounds();
   void start_round(int round);
-  [[nodiscard]] bool have_signable_work() const;
+  /// Visits, without copying, the entries the next bundle would carry;
+  /// returns whether they fill it (a count or byte cap ended the walk).
+  template <class Visit>
+  bool walk_bundle(Visit&& visit) const;
   [[nodiscard]] std::vector<Entry> collect_bundle() const;
   void sign_and_broadcast(int round, std::vector<Entry> entries);
   void handle_signed(PartyId from, Reader& r);
@@ -233,6 +239,7 @@ class AtomicChannel : public Protocol, public ChannelBase {
   obs::Counter* m_rounds_ = nullptr;
   obs::Counter* m_deliveries_ = nullptr;
   obs::Counter* m_parked_ = nullptr;
+  obs::Counter* m_rounds_deferred_ = nullptr;
   obs::Gauge* m_rounds_in_flight_ = nullptr;
   obs::Histogram* m_round_ms_ = nullptr;
   obs::Histogram* m_batch_entries_ = nullptr;

@@ -65,7 +65,7 @@ void WorkPool::worker(const std::stop_token& st) {
 
 void WorkPool::run_parallel(std::vector<std::function<void()>>& jobs) {
   if (jobs.empty()) return;
-  if (workers_.empty() || jobs.size() == 1) {
+  if (workers_.size() <= 1 || jobs.size() == 1) {
     for (const std::function<void()>& job : jobs) job();
     return;
   }
@@ -94,7 +94,9 @@ void WorkPool::run_parallel(std::vector<std::function<void()>>& jobs) {
       }
     }
   };
-  const std::size_t helpers = std::min(workers_.size(), batch->total - 1);
+  // The caller counts as one of the pool's threads, so at most threads()
+  // run the batch at once.
+  const std::size_t helpers = std::min(workers_.size() - 1, batch->total - 1);
   {
     const std::lock_guard lk(mu_);
     for (std::size_t i = 0; i < helpers; ++i) {

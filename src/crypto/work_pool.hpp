@@ -54,10 +54,12 @@ class WorkPool {
   void submit(std::function<void()> work, std::function<void()> complete);
 
   /// Runs every job in `jobs` to completion before returning, with the
-  /// CALLING thread participating: the caller claims jobs from a shared
-  /// cursor while up to threads() idle workers help.  Because the caller
-  /// never waits for a worker slot — it executes unclaimed jobs itself —
-  /// this is safe to invoke from inside a pool job (the fallback
+  /// CALLING thread participating: the caller counts as one of the pool's
+  /// threads and claims jobs from a shared cursor while up to
+  /// threads() - 1 idle workers help, so at most threads() threads run the
+  /// batch (a one-thread pool runs it on the caller alone).  Because the
+  /// caller never waits for a worker slot — it executes unclaimed jobs
+  /// itself — this is safe to invoke from inside a pool job (the fallback
   /// verification of a combine attempt that is already running on a
   /// worker) with no deadlock.  Inline mode runs the jobs sequentially in
   /// vector order on the caller, which is the simulator's deterministic

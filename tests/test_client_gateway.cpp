@@ -761,10 +761,11 @@ struct SimScenario {
 using Sequence = std::vector<std::string>;
 
 /// The executed sequence (identical on every replica) and the client
-/// outcomes for seeds 1 and 2.  Who proposes a request shapes the order,
-/// so these were recorded once each request's first transmission came
-/// from its designated replica alone (DESIGN.md §12); Replica must
-/// reproduce them exactly.
+/// outcomes for seeds 1 and 2.  Who proposes a request and when a round
+/// opens shape the order, so these were recorded once each request's
+/// first transmission came from its designated replica alone (DESIGN.md
+/// §12) and a pipelined channel opened a round ahead of an open one only
+/// for a full bundle (§11); Replica must reproduce them exactly.
 struct Recorded {
   std::uint64_t seed;
   Sequence executed;
@@ -773,23 +774,23 @@ struct Recorded {
 
 const Recorded kRecorded[] = {
     {1,
-     {"c3:req0", "c2:req0", "c0:req0", "c1:req0", "c4:req0", "c5:req0",
-      "c1:req1", "c2:req1", "c0:req1", "c3:req1", "c4:req1", "c5:req1"},
-     {{"ok@2:ok:2", "ok@8:ok:8"},
-      {"ok@3:ok:3", "ok@6:ok:6"},
-      {"ok@1:ok:1", "ok@7:ok:7"},
-      {"ok@0:ok:0", "ok@9:ok:9"},
-      {"ok@4:ok:4", "ok@10:ok:10"},
-      {"ok@5:ok:5", "ok@11:ok:11"}}},
+     {"c3:req0", "c2:req0", "c4:req0", "c5:req0", "c1:req0", "c0:req0",
+      "c3:req1", "c4:req1", "c1:req1", "c5:req1", "c2:req1", "c0:req1"},
+     {{"ok@5:ok:5", "ok@11:ok:11"},
+      {"ok@4:ok:4", "ok@8:ok:8"},
+      {"ok@1:ok:1", "ok@10:ok:10"},
+      {"ok@0:ok:0", "ok@6:ok:6"},
+      {"ok@2:ok:2", "ok@7:ok:7"},
+      {"ok@3:ok:3", "ok@9:ok:9"}}},
     {2,
-     {"c5:req0", "c2:req0", "c0:req0", "c1:req0", "c3:req0", "c2:req1",
-      "c5:req1", "c0:req1", "c1:req1", "c4:req0", "c4:req1", "c3:req1"},
-     {{"ok@2:ok:2", "ok@7:ok:7"},
-      {"ok@3:ok:3", "ok@8:ok:8"},
-      {"ok@1:ok:1", "ok@5:ok:5"},
-      {"ok@4:ok:4", "ok@11:ok:11"},
-      {"ok@9:ok:9", "ok@10:ok:10"},
-      {"ok@0:ok:0", "ok@6:ok:6"}}},
+     {"c5:req0", "c2:req0", "c3:req0", "c0:req0", "c2:req1", "c1:req0",
+      "c0:req1", "c5:req1", "c3:req1", "c1:req1", "c4:req0", "c4:req1"},
+     {{"ok@3:ok:3", "ok@6:ok:6"},
+      {"ok@5:ok:5", "ok@9:ok:9"},
+      {"ok@1:ok:1", "ok@4:ok:4"},
+      {"ok@2:ok:2", "ok@8:ok:8"},
+      {"ok@10:ok:10", "ok@11:ok:11"},
+      {"ok@0:ok:0", "ok@7:ok:7"}}},
 };
 
 void expect_all_ok_and_identical(const SimScenario& s) {

@@ -2,8 +2,10 @@
 // on the atomic channel.  These tests pin down the properties the
 // ordering argument relies on — determinism with several rounds in
 // flight, round-order delivery under chaos, Byzantine bundle rejection —
-// plus the round-amortization effect batching exists for and the
-// delivery-log retention cap.
+// plus the round-amortization effects batching and the full-bundle
+// opening rule exist for, a full pipeline under a deep backlog, honest
+// progress under a Byzantine round opener, and the delivery-log
+// retention cap.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,8 @@
 
 #include "core/channel/atomic_channel.hpp"
 #include "core/channel/secure_atomic_channel.hpp"
+#include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "sim_fixture.hpp"
 
 namespace sintra::core {
@@ -48,6 +52,55 @@ bool all_delivered_count(const std::vector<std::unique_ptr<AtomicChannel>>& cs,
     if (cs[i]->deliveries().size() < count) return false;
   }
   return true;
+}
+
+/// One entry of a bundle a corrupted party signs with its real key.
+struct ForgedEntry {
+  PartyId origin;
+  std::uint64_t seq;
+  std::string text;
+};
+
+/// A correctly-signed round-`round` bundle frame from `signer`, in the
+/// channel's wire format (kSignedTag, round, signer, count x (origin, seq,
+/// payload), sig) over its statement ("ac-sign", pid, round, count,
+/// entries); every payload carries the kData marker byte.
+Bytes forged_bundle(const sim::Adversary& adv, const std::string& pid,
+                    PartyId signer, std::uint32_t round,
+                    const std::vector<ForgedEntry>& entries) {
+  std::vector<Bytes> payloads;
+  for (const ForgedEntry& e : entries) {
+    Writer w;
+    w.u8(0);  // kData marker
+    w.raw(to_bytes(e.text));
+    payloads.push_back(std::move(w).take());
+  }
+  const auto write_entries = [&](Writer& w) {
+    w.u32(static_cast<std::uint32_t>(entries.size()));
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+      w.u32(static_cast<std::uint32_t>(entries[i].origin));
+      w.u64(entries[i].seq);
+      w.bytes(payloads[i]);
+    }
+  };
+  Writer stmt;
+  stmt.str("ac-sign");
+  stmt.str(pid);
+  stmt.u32(round);
+  write_entries(stmt);
+  Writer frame;
+  frame.u8(1);  // kSignedTag
+  frame.u32(round);
+  frame.u32(static_cast<std::uint32_t>(signer));
+  write_entries(frame);
+  frame.bytes(adv.keys_of(signer).sign(stmt.data()));
+  return std::move(frame).take();
+}
+
+/// Rounds completed per delivered payload at `ch`.
+double rounds_per_delivery(const AtomicChannel& ch) {
+  return static_cast<double>(ch.rounds_completed()) /
+         static_cast<double>(ch.deliveries().size());
 }
 
 /// Three senders, `per_sender` payloads each, on a pipelined channel;
@@ -136,34 +189,10 @@ TEST(ThroughputMode, ChaosReorderAndDuplicatesKeepTotalOrder) {
   sim::Adversary adv(c.sim, c.deal);
   adv.corrupt(3);
 
-  // Party 3's replayed round-1 bundle, correctly signed with its real
-  // key (sign_statement format: "ac-sign" pid round count entries).
-  const Bytes evil_payload = [&] {
-    Writer w;
-    w.u8(0);  // kData marker
-    w.raw(to_bytes("dup-me"));
-    return std::move(w).take();
-  }();
-  Writer stmt;
-  stmt.str("ac-sign");
-  stmt.str(pid);
-  stmt.u32(1);  // round
-  stmt.u32(1);  // one entry
-  stmt.u32(3);  // origin
-  stmt.u64(0);  // seq
-  stmt.bytes(evil_payload);
-  const Bytes sig = adv.keys_of(3).sign(stmt.data());
-  Writer frame;
-  frame.u8(1);  // kSignedTag
-  frame.u32(1);
-  frame.u32(3);  // signer
-  frame.u32(1);
-  frame.u32(3);
-  frame.u64(0);
-  frame.bytes(evil_payload);
-  frame.bytes(sig);
+  // Party 3's replayed round-1 bundle, correctly signed with its real key.
+  const Bytes frame = forged_bundle(adv, pid, 3, 1, {{3, 0, "dup-me"}});
   for (int copy = 0; copy < 4; ++copy) {
-    adv.send_as_all(3, pid, frame.data(), 0.5 + 3.0 * copy);
+    adv.send_as_all(3, pid, frame, 0.5 + 3.0 * copy);
   }
 
   const int per_sender = 5;
@@ -206,35 +235,11 @@ TEST(ThroughputMode, ByzantineDuplicateKeyBundleRejected) {
   sim::Adversary adv(c.sim, c.deal);
   adv.corrupt(3);
 
-  const Bytes evil_payload = [&] {
-    Writer w;
-    w.u8(0);
-    w.raw(to_bytes("stuffed"));
-    return std::move(w).take();
-  }();
-  Writer stmt;
-  stmt.str("ac-sign");
-  stmt.str(pid);
-  stmt.u32(1);
-  stmt.u32(2);  // two entries, same (origin, seq)!
-  for (int i = 0; i < 2; ++i) {
-    stmt.u32(3);
-    stmt.u64(0);
-    stmt.bytes(evil_payload);
-  }
-  const Bytes sig = adv.keys_of(3).sign(stmt.data());
-  Writer frame;
-  frame.u8(1);
-  frame.u32(1);
-  frame.u32(3);
-  frame.u32(2);
-  for (int i = 0; i < 2; ++i) {
-    frame.u32(3);
-    frame.u64(0);
-    frame.bytes(evil_payload);
-  }
-  frame.bytes(sig);
-  adv.send_as_all(3, pid, frame.data(), 0.2);
+  // Two entries, same (origin, seq)!
+  adv.send_as_all(3, pid,
+                  forged_bundle(adv, pid, 3, 1,
+                                {{3, 0, "stuffed"}, {3, 0, "stuffed"}}),
+                  0.2);
 
   for (int m = 0; m < 4; ++m) {
     c.sim.at(1.0 + m, 0, [&, m] {
@@ -263,18 +268,20 @@ TEST(ThroughputMode, DeliveryLogLimitBoundsRetention) {
       chans[1]->send(to_bytes("cap" + std::to_string(m)));
     });
   }
+  const std::string last = "cap" + std::to_string(kMessages - 1);
   ASSERT_TRUE(c.sim.run_until(
       [&] {
+        const auto& capped = chans[0]->deliveries();
         return chans[1]->deliveries().size() >=
-               static_cast<std::size_t>(kMessages);
+                   static_cast<std::size_t>(kMessages) &&
+               !capped.empty() && to_string(capped.back().payload) == last;
       },
       4e6));
   // Capped log stays under 2x the limit and keeps the most recent tail;
   // the uncapped parties retain everything.
   EXPECT_LE(chans[0]->deliveries().size(), 2 * kCap);
   EXPECT_GE(chans[0]->deliveries().size(), kCap);
-  EXPECT_EQ(to_string(chans[0]->deliveries().back().payload),
-            "cap" + std::to_string(kMessages - 1));
+  EXPECT_EQ(to_string(chans[0]->deliveries().back().payload), last);
   EXPECT_EQ(chans[1]->deliveries().size(),
             static_cast<std::size_t>(kMessages));
   // The inbox (receive() surface) is unaffected by log trimming.
@@ -321,6 +328,153 @@ TEST(ThroughputMode, SecureChannelPipelinesAndCapsLog) {
   // holds at most 2x the limit.
   for (const auto& s : seen) EXPECT_EQ(s, seen[0]);
   for (const auto& ch : chans) EXPECT_LE(ch->deliveries().size(), 6u);
+}
+
+TEST(ThroughputMode, ClosedLoopSendersFillRoundsBeforeOpeningNew) {
+  // Four closed-loop senders each keep one payload outstanding: a
+  // sender sends its next payload when its previous one delivers at its
+  // own party.  With a depth-4 window, opening a round for every partial
+  // bundle costs about one agreement per delivery; opening ahead of an
+  // open round only for a full bundle lets the waiting payloads share the
+  // next round instead.
+  Cluster c(4, 1, 38);
+  const std::string pid = "tm.closed";
+  auto chans = make_channels(c, pid, pipelined(16, 4));
+  constexpr int kSenders = 4;
+  constexpr int kPerSender = 12;
+  std::vector<int> sent(kSenders, 0);
+  const auto send_next = [&](int s) {
+    const int m = sent[static_cast<std::size_t>(s)]++;
+    chans[static_cast<std::size_t>(s)]->send(
+        to_bytes("s" + std::to_string(s) + "m" + std::to_string(m)));
+  };
+  const auto deferred_total = [&] {
+    std::uint64_t sum = 0;
+    for (int s = 0; s < kSenders; ++s) {
+      sum += obs::registry()
+                 .counter("channel.rounds_deferred",
+                          obs::party_layer_labels(s, obs::layer_of(pid)))
+                 .value();
+    }
+    return sum;
+  };
+  const std::uint64_t deferred_before = deferred_total();
+  for (int s = 0; s < kSenders; ++s) {
+    chans[static_cast<std::size_t>(s)]->set_deliver_callback(
+        [&, s](const Bytes&, PartyId origin) {
+          if (origin != s || sent[static_cast<std::size_t>(s)] >= kPerSender)
+            return;
+          c.sim.at(c.sim.now_ms(), s, [&, s] { send_next(s); });
+        });
+    c.sim.at(0.3 * s, s, [&, s] { send_next(s); });
+  }
+  constexpr std::size_t kTotal = kSenders * kPerSender;
+  ASSERT_TRUE(c.sim.run_until(
+      [&] { return all_delivered_count(chans, kTotal); }, 4e6));
+  c.sim.run(c.sim.now_ms() + 1000.0);  // no stray payloads deliver later
+
+  const auto expected = delivered_strings(*chans[0]);
+  ASSERT_EQ(expected.size(), kTotal);
+  for (const auto& ch : chans) EXPECT_EQ(delivered_strings(*ch), expected);
+  EXPECT_EQ(std::set<std::string>(expected.begin(), expected.end()).size(),
+            kTotal);
+  EXPECT_LE(rounds_per_delivery(*chans[0]), 0.75);
+  EXPECT_GT(deferred_total(), deferred_before);
+}
+
+TEST(ThroughputMode, DeepBacklogStillFillsThePipeline) {
+  // Queues pre-filled at t = 0 hold many full bundles, so the window must
+  // still open `depth` rounds at once: holding back partial work must not
+  // cost the pipelining of full ones.
+  Cluster c(4, 1, 39);
+  const std::string pid = "tm.backlog";
+  constexpr int kDepth = 4;
+  auto chans = make_channels(c, pid, pipelined(4, kDepth));
+  constexpr int kPerSender = 30;
+  for (int s = 0; s < 4; ++s) {
+    c.sim.at(0.0, s, [&, s] {
+      for (int m = 0; m < kPerSender; ++m) {
+        chans[static_cast<std::size_t>(s)]->send(
+            to_bytes("b" + std::to_string(s) + "m" + std::to_string(m)));
+      }
+    });
+  }
+  const obs::Gauge& in_flight = obs::registry().gauge(
+      "channel.rounds_in_flight",
+      obs::party_layer_labels(0, obs::layer_of(pid)));
+  double max_in_flight = 0.0;
+  ASSERT_TRUE(c.sim.run_until(
+      [&] {
+        max_in_flight = std::max(max_in_flight, in_flight.value());
+        return all_delivered_count(chans, 4 * kPerSender);
+      },
+      4e6));
+  EXPECT_EQ(max_in_flight, static_cast<double>(kDepth));
+  const auto expected = delivered_strings(*chans[0]);
+  EXPECT_EQ(expected.size(), static_cast<std::size_t>(4 * kPerSender));
+  for (const auto& ch : chans) EXPECT_EQ(delivered_strings(*ch), expected);
+}
+
+TEST(ThroughputMode, ByzantineRoundOpenerDoesNotStarveHonestPartialWork) {
+  // A corrupted party signs a bundle for every upcoming round, so an open
+  // round always exists and no honest party ever holds a full bundle.  The
+  // honest parties' partial work must ride the rounds the corrupted party
+  // opens and deliver, identically at every honest party.
+  Cluster c(4, 1, 40);
+  const std::string pid = "tm.opener";
+  auto chans = make_channels(c, pid, pipelined(8, 4));
+  sim::Adversary adv(c.sim, c.deal);
+  adv.corrupt(3);
+  constexpr int kRounds = 60;
+  for (int r = 1; r <= kRounds; ++r) {
+    adv.send_as_all(3, pid,
+                    forged_bundle(adv, pid, 3, static_cast<std::uint32_t>(r),
+                                  {{3, static_cast<std::uint64_t>(r),
+                                    "evil" + std::to_string(r)}}),
+                    0.1 + 0.5 * r);
+  }
+  constexpr int kPerSender = 5;
+  const auto honest = [](int s, int m) {
+    return "h" + std::to_string(s) + "m" + std::to_string(m);
+  };
+  for (int s = 0; s < 3; ++s) {
+    for (int m = 0; m < kPerSender; ++m) {
+      c.sim.at(2.0 + 3.0 * m + 0.7 * s, s, [&, s, m] {
+        chans[static_cast<std::size_t>(s)]->send(to_bytes(honest(s, m)));
+      });
+    }
+  }
+  const auto honest_all_delivered = [&] {
+    for (int i = 0; i < 3; ++i) {
+      const auto seq = delivered_strings(*chans[static_cast<std::size_t>(i)]);
+      for (int s = 0; s < 3; ++s) {
+        for (int m = 0; m < kPerSender; ++m) {
+          if (std::find(seq.begin(), seq.end(), honest(s, m)) == seq.end())
+            return false;
+        }
+      }
+    }
+    return true;
+  };
+  ASSERT_TRUE(c.sim.run_until(honest_all_delivered, 4e6));
+  // The honest work rode the corrupted party's rounds instead of waiting
+  // until it stopped opening them.
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_LT(chans[static_cast<std::size_t>(i)]->rounds_completed(),
+              kRounds);
+  }
+  c.sim.run(c.sim.now_ms() + 1000.0);
+  const auto expected = delivered_strings(*chans[0]);
+  for (int i = 1; i < 3; ++i) {
+    EXPECT_EQ(delivered_strings(*chans[static_cast<std::size_t>(i)]),
+              expected);
+  }
+  for (int s = 0; s < 3; ++s) {
+    for (int m = 0; m < kPerSender; ++m) {
+      EXPECT_EQ(std::count(expected.begin(), expected.end(), honest(s, m)), 1)
+          << honest(s, m);
+    }
+  }
 }
 
 }  // namespace

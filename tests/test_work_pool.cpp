@@ -1,13 +1,15 @@
 // Tests for the off-loop crypto worker pool (crypto/work_pool.hpp): the
 // zero-thread pool must be fully synchronous (the simulator's determinism
 // contract), the threaded pool must run work off-thread but completions
-// on the draining thread, the notify hook must fire, and destruction must
-// drain queued work rather than drop it.
+// on the draining thread, the notify hook must fire, destruction must
+// drain queued work rather than drop it, and run_parallel must use no
+// more threads than the pool has.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
+#include <functional>
 #include <mutex>
 #include <set>
 #include <thread>
@@ -137,6 +139,37 @@ TEST(WorkPool, DestructorDrainsQueuedWork) {
     }
   }
   EXPECT_EQ(worked.load(), kJobs);
+}
+
+TEST(WorkPool, RunParallelUsesAtMostThePoolsThreads) {
+  // The caller counts as one of the pool's threads, so a batch never runs
+  // on more than threads() threads: a pool sized to the cores never puts
+  // one thread more on them.
+  for (const std::size_t threads : {1u, 2u, 3u}) {
+    WorkPool pool(threads);
+    std::atomic<std::size_t> running{0};
+    std::atomic<std::size_t> peak{0};
+    std::mutex mu;
+    std::set<std::thread::id> ran_on;
+    std::vector<std::function<void()>> jobs;
+    for (int i = 0; i < 24; ++i) {
+      jobs.push_back([&] {
+        const std::size_t now = running.fetch_add(1) + 1;
+        std::size_t seen = peak.load();
+        while (now > seen && !peak.compare_exchange_weak(seen, now)) {
+        }
+        {
+          const std::lock_guard lk(mu);
+          ran_on.insert(std::this_thread::get_id());
+        }
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+        running.fetch_sub(1);
+      });
+    }
+    pool.run_parallel(jobs);
+    EXPECT_LE(peak.load(), threads) << threads << " threads";
+    EXPECT_LE(ran_on.size(), threads) << threads << " threads";
+  }
 }
 
 TEST(WorkPool, ManyProducersOneDrainer) {
