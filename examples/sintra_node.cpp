@@ -155,8 +155,6 @@ Args parse_args(int argc, char** argv) {
       if (a.replica.batch_count < 1) {
         throw std::runtime_error("--batch-count wants >= 1");
       }
-    } else if (arg == "--batch-bytes") {
-      a.replica.batch_bytes = std::stoull(value());
     } else if (arg == "--pipeline-depth") {
       a.replica.pipeline_depth = std::stoi(value());
       if (a.replica.pipeline_depth < 1) {
@@ -318,11 +316,6 @@ class NodeApp {
     replica_->set_complete_callback([this] { finish(); });
 
     if (args.client_port > 0) {
-      if (replica_->gateway() == nullptr) {
-        throw std::runtime_error(
-            "--client-port needs a gateway-backed channel "
-            "(atomic or secure-atomic)");
-      }
       if (args.replica.client_keys.empty()) {
         throw std::runtime_error("--client-port needs --client-keys");
       }
@@ -491,7 +484,7 @@ int main(int argc, char** argv) {
                  "[--no-mmsg] [--corrupt-shares] [--state-dir DIR] "
                  "[--crash-after-records N] "
                  "[--checkpoint-interval K] [--batch-count N] "
-                 "[--batch-bytes N] [--pipeline-depth W] "
+                 "[--pipeline-depth W] "
                  "[--bench-load MxB] [--client-port P] "
                  "[--client-keys FILE] [--max-clients N] "
                  "[--client-rate R] [--client-global-rate R] "

@@ -203,12 +203,12 @@ if [[ "$scenario" == clients ]]; then
   if [[ -z "$pipeline_depth" ]]; then node_args+=(--pipeline-depth 4); fi
 fi
 
-if [[ "$channel" == optimistic ]]; then
-  node_args+=(--expect $(( n * send_count )))
-elif [[ "$scenario" == clients ]]; then
+if [[ "$scenario" == clients ]]; then
   # No close protocol here: a node is done once every swarm request has
   # executed exactly once (forged frames never execute, replays dedup).
   node_args+=(--expect "$expect_total")
+elif [[ "$channel" == optimistic ]]; then
+  node_args+=(--expect $(( n * send_count )))
 else
   node_args+=(--close)
 fi

@@ -3,8 +3,8 @@
 # chosen by $SINTRA_SANITIZE and runs the suites that benefit most:
 #
 #   SINTRA_SANITIZE=address,undefined (default)
-#     ASan+UBSan over the bignum/crypto suites, the net subsystem and
-#     the atomic channel suites.  The fast-exponentiation layer (multi-exp
+#     ASan+UBSan over the bignum/crypto suites, the net subsystem, the
+#     channel suites and the replica composition.  The fast-exponentiation layer (multi-exp
 #     windows, comb tables, scratch-buffer reuse) does manual limb-buffer
 #     arithmetic, and the net layer (epoll loop, raw UDP buffers, frame
 #     parsing of attacker-controlled datagrams) and the atomic channel
@@ -47,8 +47,11 @@ else
   # MAC state), the simulated client service end to end (the full replica
   # composition with client lanes, designation and reply quorums), the
   # net subsystem (event loop, UDP transport, sliding-window link,
-  # 4-process clusters), and the atomic channel suites (bundle decoding
-  # of Byzantine frames, pipelined rounds, the round-opening rule).
+  # 4-process clusters), the atomic channel suites (bundle decoding
+  # of Byzantine frames, pipelined rounds, the round-opening rule), and
+  # the suites that run the receive side every channel shares with
+  # ChannelBase (inbox, callbacks, log cap) and the replica composition
+  # over all three ordering channels.
   filter='BigInt|BignumDiff|KnuthD|Montgomery|MultiExp|FixedBase|GroupCache'
   filter+='|Karatsuba|Prime'
   filter+='|Rsa|VerifyMemo|Shamir|Lagrange|DlogGroup|Dleq|BatchDleq|Group'
@@ -56,6 +59,8 @@ else
   filter+='|Dealer|Hash|Sha|Hmac|Aes|ClientGateway|ClientWire|ClientServiceE2E'
   filter+='|EventLoop|UdpSocket|NetEnvironment|SlidingWindow|LocalCluster'
   filter+='|AtomicChannel|ThroughputMode|ByzantineAtomic'
+  filter+='|Replica|ReliableChannel|ConsistentChannel|ChannelLifecycle'
+  filter+='|EndToEnd|Robustness'
   export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
   export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
 fi

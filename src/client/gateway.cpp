@@ -280,16 +280,10 @@ std::optional<ClientGateway::Executed>
 ClientGateway::on_delivered(BytesView channel_payload) {
   const auto w = unwrap_request(channel_payload);
   if (!w) {
-    // Legacy raw payload (pre-client-layer sender): execute as-is under
-    // the total order but outside the client identity space.
-    Executed ex;
-    ex.local = true;
-    ex.client_id = 0;
-    ex.seq = 0;
-    ex.global_seq = next_global_++;
-    ex.payload = Bytes(channel_payload.begin(), channel_payload.end());
-    executed_.inc();
-    return ex;
+    // Every honest replica proposes envelopes only, so only a corrupted
+    // one can order anything else.  Deterministic skip.
+    rejected_auth_.inc();
+    return std::nullopt;
   }
 
   const bool local = is_local_client(w->client_id);

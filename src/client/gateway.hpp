@@ -1,12 +1,13 @@
 // ClientGateway — the replica-side half of the client service layer
 // (DESIGN.md §12).
 //
-// One gateway sits in front of each replica's atomic channel.  It is
-// transport-agnostic: datagrams arrive via on_request_datagram() (fed by
-// net::UdpClientFront in real deployments or client::SimClientNet in
-// simulation), admitted requests leave through a submit hook (the
-// channel's batching proposer), and executions re-enter through
-// on_delivered() when the total order hands payloads back.
+// One gateway sits in front of each replica's ordering channel (atomic,
+// secure-atomic or optimistic).  It is transport-agnostic: datagrams
+// arrive via on_request_datagram() (fed by net::UdpClientFront in real
+// deployments or client::SimClientNet in simulation), admitted requests
+// leave through a submit hook (the channel's proposer), and executions
+// re-enter through on_delivered() when the total order hands payloads
+// back.
 //
 // The pipeline per request:
 //
@@ -121,9 +122,9 @@ class ClientGateway {
     Bytes payload;
   };
 
-  /// Delivery path: every payload the atomic channel delivers, in
+  /// Delivery path: every payload the ordering channel delivers, in
   /// order.  Returns the execution record on first execution, nullopt
-  /// for duplicates / forged entries (counted).  Sends the reply (or a
+  /// for duplicates / forged entries / non-envelopes (counted).  Sends the reply (or a
   /// cached one) as a side effect when the client's address is known.
   std::optional<Executed> on_delivered(BytesView channel_payload);
 

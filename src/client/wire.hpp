@@ -122,7 +122,7 @@ std::optional<std::uint32_t> peek_client_id(BytesView datagram);
 }
 
 Bytes wrap_request(const WrappedRequest& w);
-/// nullopt if `payload` is not a client envelope (legacy raw payload).
+/// nullopt if `payload` is not a client envelope.
 std::optional<WrappedRequest> unwrap_request(BytesView payload);
 
 /// The MAC re-checked at delivery time must cover exactly what the

@@ -116,13 +116,6 @@ void AtomicChannel::enqueue_marker(std::uint8_t marker, BytesView payload) {
   maybe_start_rounds();
 }
 
-std::optional<Bytes> AtomicChannel::receive() {
-  if (inbox_.empty()) return std::nullopt;
-  Bytes out = std::move(inbox_.front());
-  inbox_.pop_front();
-  return out;
-}
-
 template <class Visit>
 bool AtomicChannel::walk_bundle(Visit&& visit) const {
   // Greedy drain of own_queue_ (or, when it holds nothing signable, of
@@ -494,7 +487,7 @@ void AtomicChannel::deliver(Entry entry, int round, int iterations) {
     if (static_cast<int>(close_origins_.size()) >= env_.t() + 1) {
       closed_ = true;
       deactivate();
-      if (closed_cb_) closed_cb_();
+      report_closed();
     }
     return;
   }
@@ -503,19 +496,10 @@ void AtomicChannel::deliver(Entry entry, int round, int iterations) {
   m_deliveries_->inc();
   obs::emit(obs::EventType::kDeliver, env_.now_ms(), entry.origin,
             env_.self(), pid(), user.size(), round);
-  deliveries_.push_back(Delivery{user, entry.origin, entry.seq, round,
-                                 env_.now_ms(), iterations});
-  if (delivery_log_limit_ != 0 &&
-      deliveries_.size() >= 2 * delivery_log_limit_) {
-    deliveries_.erase(deliveries_.begin(),
-                      deliveries_.end() -
-                          static_cast<std::ptrdiff_t>(delivery_log_limit_));
-  }
-  if (deliver_cb_) {
-    deliver_cb_(user, entry.origin);
-  } else {
-    inbox_.push_back(std::move(user));
-  }
+  deliver_to_app(deliveries_,
+                 Delivery{user, entry.origin, entry.seq, round, env_.now_ms(),
+                          iterations},
+                 std::move(user), entry.origin);
 }
 
 void AtomicChannel::abort() {

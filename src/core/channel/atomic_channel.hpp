@@ -50,7 +50,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
@@ -99,51 +98,21 @@ class AtomicChannel : public Protocol, public ChannelBase {
 
   /// Queues a payload for totally-ordered delivery.  Throws
   /// std::logic_error once the channel is closed.
-  void send(BytesView payload);
-  [[nodiscard]] bool can_send() const { return !closed_; }
-
-  /// Pops the next delivered payload (nullopt if none pending; always
-  /// nullopt once a deliver callback is set — see ChannelBase).
-  std::optional<Bytes> receive();
-  [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
+  void send(BytesView payload) override;
+  [[nodiscard]] bool can_send() const override { return !closed_; }
 
   /// Requests channel termination (see the close protocol above).
-  void close();
-  [[nodiscard]] bool is_closed() const { return closed_; }
+  void close() override;
+  [[nodiscard]] bool is_closed() const override { return closed_; }
 
-  /// Full delivery log (benchmarks read timing and origins from here).
+  /// Full delivery log (benchmarks read timing and origins from here;
+  /// capped by set_delivery_log_limit — see ChannelBase).
   [[nodiscard]] const std::vector<Delivery>& deliveries() const {
     return deliveries_;
   }
   [[nodiscard]] int rounds_completed() const { return round_; }
 
-  /// Caps the in-memory delivery log at roughly `limit` entries (the
-  /// oldest half is dropped once 2×limit accumulate, so trimming is
-  /// amortized O(1)).  0 = unlimited retention (the default; benchmarks
-  /// rely on the full log).  Long-running processes should set a cap.
-  void set_delivery_log_limit(std::size_t limit) {
-    delivery_log_limit_ = limit;
-  }
-
-  void set_deliver_callback(
-      std::function<void(const Bytes&, PartyId origin)> cb) override {
-    deliver_cb_ = std::move(cb);
-  }
-  void set_closed_callback(std::function<void()> cb) override {
-    closed_cb_ = std::move(cb);
-  }
-
   void abort() override;
-
-  // --- ChannelBase (the paper's Figure 2 Channel interface) ---
-  void send_payload(BytesView payload) override { send(payload); }
-  std::optional<Bytes> receive_payload() override { return receive(); }
-  [[nodiscard]] bool can_send_payload() const override { return can_send(); }
-  [[nodiscard]] bool can_receive_payload() const override {
-    return can_receive();
-  }
-  void close_channel() override { close(); }
-  [[nodiscard]] bool channel_closed() const override { return is_closed(); }
 
  protected:
   void on_message(PartyId from, BytesView payload) override;
@@ -229,11 +198,7 @@ class AtomicChannel : public Protocol, public ChannelBase {
   std::map<int, RoundState> rounds_;  // the pipeline window
   std::vector<std::unique_ptr<ArrayAgreement>> finished_mvbas_;
 
-  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
-  std::size_t delivery_log_limit_ = 0;  // 0 = unlimited
-  std::function<void(const Bytes&, PartyId)> deliver_cb_;
-  std::function<void()> closed_cb_;
 
   // Instrumentation handles (obs/metrics.hpp); measurement only.
   obs::Counter* m_rounds_ = nullptr;

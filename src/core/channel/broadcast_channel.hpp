@@ -15,8 +15,6 @@
 #pragma once
 
 #include <deque>
-#include <functional>
-#include <optional>
 #include <set>
 #include <vector>
 
@@ -49,7 +47,7 @@ class BroadcastChannel : public ChannelBase {
   }
 
   /// Queues a payload on this party's current broadcast instance.
-  void send(BytesView payload) {
+  void send(BytesView payload) override {
     if (closed_) throw std::logic_error("BroadcastChannel::send: closed");
     Writer w;
     w.u8(0);  // data marker
@@ -58,18 +56,10 @@ class BroadcastChannel : public ChannelBase {
     pump_send();
   }
 
-  [[nodiscard]] bool can_send() const { return !closed_; }
-
-  std::optional<Bytes> receive() {
-    if (inbox_.empty()) return std::nullopt;
-    Bytes out = std::move(inbox_.front());
-    inbox_.pop_front();
-    return out;
-  }
-  [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
+  [[nodiscard]] bool can_send() const override { return !closed_; }
 
   /// Sends the termination request as this party's last channel message.
-  void close() {
+  void close() override {
     if (closed_ || close_sent_) return;
     close_sent_ = true;
     Writer w;
@@ -78,29 +68,11 @@ class BroadcastChannel : public ChannelBase {
     pump_send();
   }
 
-  [[nodiscard]] bool is_closed() const { return closed_; }
+  [[nodiscard]] bool is_closed() const override { return closed_; }
 
   [[nodiscard]] const std::vector<Delivery>& deliveries() const {
     return deliveries_;
   }
-
-  void set_deliver_callback(
-      std::function<void(const Bytes&, PartyId)> cb) override {
-    deliver_cb_ = std::move(cb);
-  }
-  void set_closed_callback(std::function<void()> cb) override {
-    closed_cb_ = std::move(cb);
-  }
-
-  // --- ChannelBase (the paper's Figure 2 Channel interface) ---
-  void send_payload(BytesView payload) override { send(payload); }
-  std::optional<Bytes> receive_payload() override { return receive(); }
-  [[nodiscard]] bool can_send_payload() const override { return can_send(); }
-  [[nodiscard]] bool can_receive_payload() const override {
-    return can_receive();
-  }
-  void close_channel() override { close(); }
-  [[nodiscard]] bool channel_closed() const override { return is_closed(); }
 
  private:
   [[nodiscard]] std::string instance_basepid(PartyId j) const {
@@ -148,12 +120,8 @@ class BroadcastChannel : public ChannelBase {
         return;
       }
       if (marker != 0) return;
-      deliveries_.push_back(Delivery{payload, j, seq, env_.now_ms()});
-      if (deliver_cb_) {
-        deliver_cb_(payload, j);
-      } else {
-        inbox_.push_back(payload);
-      }
+      deliver_to_app(deliveries_, Delivery{payload, j, seq, env_.now_ms()},
+                     std::move(payload), j);
     } catch (const SerdeError&) {
       // A Byzantine sender broadcast an unparsable channel frame: ignore.
     }
@@ -164,7 +132,7 @@ class BroadcastChannel : public ChannelBase {
     for (auto& inst : instances_) {
       if (inst) inst->abort();
     }
-    if (closed_cb_) closed_cb_();
+    report_closed();
   }
 
   Environment& env_;
@@ -179,11 +147,7 @@ class BroadcastChannel : public ChannelBase {
   bool close_sent_ = false;
   bool closed_ = false;
   std::set<PartyId> close_senders_;
-
-  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
-  std::function<void(const Bytes&, PartyId)> deliver_cb_;
-  std::function<void()> closed_cb_;
 };
 
 /// The paper's ReliableChannel: agreement per message, no ordering.

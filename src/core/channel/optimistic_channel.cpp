@@ -150,13 +150,6 @@ void OptimisticChannel::suspect() {
   send_all(w.data());
 }
 
-std::optional<Bytes> OptimisticChannel::receive() {
-  if (inbox_.empty()) return std::nullopt;
-  Bytes out = std::move(inbox_.front());
-  inbox_.pop_front();
-  return out;
-}
-
 void OptimisticChannel::on_message(PartyId from, BytesView payload) {
   try {
     Reader r(payload);
@@ -283,13 +276,9 @@ void OptimisticChannel::output_record(const Bytes& order) {
   m_deliveries_->inc();
   obs::emit(obs::EventType::kDeliver, env_.now_ms(), rec.origin, env_.self(),
             pid(), rec.payload.size(), epoch_);
-  deliveries_.push_back(
-      Delivery{rec.payload, rec.origin, epoch_, env_.now_ms()});
-  if (deliver_cb_) {
-    deliver_cb_(rec.payload, rec.origin);
-  } else {
-    inbox_.push_back(rec.payload);
-  }
+  deliver_to_app(deliveries_,
+                 Delivery{rec.payload, rec.origin, epoch_, env_.now_ms()},
+                 std::move(rec.payload), rec.origin);
 }
 
 void OptimisticChannel::handle_complain(PartyId from, Reader& r) {

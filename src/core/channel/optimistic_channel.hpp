@@ -30,37 +30,39 @@
 //     definitive history (its closings let everyone catch up), and the
 //     next epoch starts with the next sequencer;
 //   - unordered payloads are re-initiated automatically.
+//
+// The channel has no close protocol: close() does nothing and
+// is_closed() stays false, so a deployment completes it by count.
 #pragma once
 
-#include <deque>
-#include <functional>
 #include <map>
 #include <optional>
 #include <set>
 
 #include "core/agreement/array_agreement.hpp"
 #include "core/broadcast/consistent_broadcast.hpp"
+#include "core/channel/channel_base.hpp"
 #include "obs/metrics.hpp"
 
 namespace sintra::core {
 
-class OptimisticChannel : public Protocol {
+class OptimisticChannel : public Protocol, public ChannelBase {
  public:
   OptimisticChannel(Environment& env, Dispatcher& dispatcher,
                     const std::string& pid);
   ~OptimisticChannel() override;
 
   /// Queues a payload for totally-ordered delivery.
-  void send(BytesView payload);
+  void send(BytesView payload) override;
+  [[nodiscard]] bool can_send() const override { return true; }
+
+  /// No close protocol (see above).
+  void close() override {}
+  [[nodiscard]] bool is_closed() const override { return false; }
 
   /// Signals suspicion of the current epoch's sequencer (driven by an
   /// application-level timeout; never called from protocol logic).
   void suspect();
-
-  /// Pull-mode delivery; like every channel, push-only once a deliver
-  /// callback is set (see ChannelBase).
-  std::optional<Bytes> receive();
-  [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
 
   [[nodiscard]] int epoch() const { return epoch_; }
   [[nodiscard]] PartyId sequencer() const { return epoch_ % env_.n(); }
@@ -74,11 +76,6 @@ class OptimisticChannel : public Protocol {
   };
   [[nodiscard]] const std::vector<Delivery>& deliveries() const {
     return deliveries_;
-  }
-
-  void set_deliver_callback(
-      std::function<void(const Bytes&, PartyId origin)> cb) {
-    deliver_cb_ = std::move(cb);
   }
 
  protected:
@@ -146,9 +143,7 @@ class OptimisticChannel : public Protocol {
   std::vector<std::unique_ptr<ArrayAgreement>> old_switches_;
   std::vector<std::unique_ptr<VerifiableConsistentBroadcast>> old_slots_;
 
-  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
-  std::function<void(const Bytes&, PartyId)> deliver_cb_;
 
   // Instrumentation handles (obs/metrics.hpp); measurement only.
   obs::Counter* m_deliveries_ = nullptr;

@@ -47,13 +47,6 @@ void SecureAtomicChannel::send_ciphertext(BytesView ciphertext) {
   atomic_->send(ciphertext);
 }
 
-std::optional<Bytes> SecureAtomicChannel::receive() {
-  if (inbox_.empty()) return std::nullopt;
-  Bytes out = std::move(inbox_.front());
-  inbox_.pop_front();
-  return out;
-}
-
 std::optional<Bytes> SecureAtomicChannel::receive_ciphertext() {
   if (ciphertext_cursor_ >= slots_.size()) return std::nullopt;
   return slots_[ciphertext_cursor_++].ciphertext;
@@ -165,30 +158,17 @@ void SecureAtomicChannel::flush_ready() {
     m_decrypt_wait_ms_->observe(env_.now_ms() - slot.delivered_ms);
     obs::emit(obs::EventType::kDeliver, env_.now_ms(), -1, env_.self(), pid(),
               slot.plaintext->size());
-    deliveries_.push_back(Delivery{*slot.plaintext, env_.now_ms()});
-    if (delivery_log_limit_ != 0 &&
-        deliveries_.size() >= 2 * delivery_log_limit_) {
-      deliveries_.erase(deliveries_.begin(),
-                        deliveries_.end() -
-                            static_cast<std::ptrdiff_t>(delivery_log_limit_));
-    }
-    if (deliver_cb_) {
-      // A copy: the callback may send, and a reentrant delivery would
-      // grow slots_ under a reference into it.
-      const Bytes plaintext = *slot.plaintext;
-      deliver_cb_(plaintext, -1);
-    } else {
-      inbox_.push_back(*slot.plaintext);
-    }
+    // A copy: the callback may send, and a reentrant delivery would grow
+    // slots_ under a reference into it.
+    deliver_to_app(deliveries_, Delivery{*slot.plaintext, env_.now_ms()},
+                   Bytes(*slot.plaintext), -1);
     ++next_delivery_;
   }
   report_closed_if_done();
 }
 
 void SecureAtomicChannel::report_closed_if_done() {
-  if (closed_reported_ || !is_closed()) return;
-  closed_reported_ = true;
-  if (closed_cb_) closed_cb_();
+  if (is_closed()) report_closed();
 }
 
 void SecureAtomicChannel::abort() {

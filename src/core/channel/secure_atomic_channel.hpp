@@ -14,7 +14,6 @@
 // send_ciphertext() without ever seeing the cleartext (paper §3.4).
 #pragma once
 
-#include <deque>
 #include <map>
 #include <memory>
 #include <optional>
@@ -39,17 +38,16 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
 
   /// Encrypts `payload` under the group key and sends it (member-side
   /// convenience for the common case).
-  void send(BytesView payload);
+  void send(BytesView payload) override;
 
   /// Relays an externally produced ciphertext (paper §3.4).
   void send_ciphertext(BytesView ciphertext);
 
-  [[nodiscard]] bool can_send() const { return atomic_->can_send(); }
+  [[nodiscard]] bool can_send() const override { return atomic_->can_send(); }
 
-  /// Next decrypted payload, in ciphertext order (pull mode only: always
-  /// nullopt once a deliver callback is set — see ChannelBase).
-  std::optional<Bytes> receive();
-  [[nodiscard]] bool can_receive() const { return !inbox_.empty(); }
+  // receive() and the deliver callback (ChannelBase) yield cleartexts in
+  // ciphertext order.  A cleartext carries no origin (the sender is
+  // hidden inside the ciphertext), so the callback always sees -1.
 
   /// The next *ciphertext* whose position is already fixed but whose
   /// cleartext has not been consumed via receive() yet (paper §3.4's
@@ -59,10 +57,13 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
     return ciphertext_cursor_ < slots_.size();
   }
 
-  void close() { atomic_->close(); }
+  void close() override { atomic_->close(); }
   /// True once the ordering channel has closed and every ciphertext it
   /// ordered before the close has been delivered (or skipped as invalid).
-  [[nodiscard]] bool is_closed() const {
+  /// The closed callback fires when this becomes true: the ordered tail
+  /// is decrypted one share round after the close, and whoever completes
+  /// on that signal must hold the whole sequence.
+  [[nodiscard]] bool is_closed() const override {
     return atomic_->is_closed() && next_delivery_ == slots_.size();
   }
 
@@ -76,23 +77,10 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   }
 
   /// Caps the in-memory delivery logs (this channel's and the wrapped
-  /// atomic channel's); 0 = unlimited (the default).
-  void set_delivery_log_limit(std::size_t limit) {
-    delivery_log_limit_ = limit;
+  /// atomic channel's).
+  void set_delivery_log_limit(std::size_t limit) override {
+    ChannelBase::set_delivery_log_limit(limit);
     atomic_->set_delivery_log_limit(limit);
-  }
-
-  /// Cleartexts carry no origin (the sender is hidden inside the
-  /// ciphertext), so the callback always sees origin -1.
-  void set_deliver_callback(
-      std::function<void(const Bytes&, PartyId origin)> cb) override {
-    deliver_cb_ = std::move(cb);
-  }
-  /// Fires once, when is_closed() becomes true: the ordered tail is
-  /// decrypted one share round after the close, and whoever completes on
-  /// this signal must hold the whole sequence.
-  void set_closed_callback(std::function<void()> cb) override {
-    closed_cb_ = std::move(cb);
   }
 
   /// The atomic channel that orders this channel's ciphertexts.  It runs
@@ -102,16 +90,6 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
 
   void abort() override;
 
-  // --- ChannelBase (the paper's Figure 2 Channel interface) ---
-  void send_payload(BytesView payload) override { send(payload); }
-  std::optional<Bytes> receive_payload() override { return receive(); }
-  [[nodiscard]] bool can_send_payload() const override { return can_send(); }
-  [[nodiscard]] bool can_receive_payload() const override {
-    return can_receive();
-  }
-  void close_channel() override { close(); }
-  [[nodiscard]] bool channel_closed() const override { return is_closed(); }
-
  protected:
   void on_message(PartyId from, BytesView payload) override;
 
@@ -119,7 +97,7 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   void on_ciphertext_delivered(const Bytes& ciphertext);
   void process_share(PartyId from, std::size_t index, const Bytes& share);
   void flush_ready();
-  /// Fires the closed callback the first time is_closed() holds.
+  /// Fires the closed callback once is_closed() holds.
   void report_closed_if_done();
 
   std::unique_ptr<AtomicChannel> atomic_;
@@ -139,12 +117,7 @@ class SecureAtomicChannel : public Protocol, public ChannelBase {
   // Shares that arrived before their ciphertext's slot existed.
   std::map<std::size_t, std::map<PartyId, Bytes>> early_shares_;
 
-  std::deque<Bytes> inbox_;  // pull mode only (no deliver callback)
   std::vector<Delivery> deliveries_;
-  std::size_t delivery_log_limit_ = 0;  // 0 = unlimited
-  std::function<void(const Bytes&, PartyId)> deliver_cb_;
-  std::function<void()> closed_cb_;
-  bool closed_reported_ = false;
 
   // Instrumentation handles (obs/metrics.hpp); measurement only.
   obs::Counter* m_deliveries_ = nullptr;

@@ -1,5 +1,6 @@
 #include "recovery/replica_log.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 #include <fstream>
@@ -74,7 +75,8 @@ bool ReplicaLog::append(BytesView record, std::string* error) {
   Bytes frame(8 + record.size());
   put32(frame.data(), static_cast<std::uint32_t>(record.size()));
   put32(frame.data() + 4, util::crc32(record));
-  std::memcpy(frame.data() + 8, record.data(), record.size());
+  // std::copy, not memcpy: an empty record may have a null data().
+  std::copy(record.begin(), record.end(), frame.begin() + 8);
   std::size_t off = 0;
   while (off < frame.size()) {
     const ssize_t n = ::write(fd_, frame.data() + off, frame.size() - off);

@@ -5,6 +5,7 @@
 
 #include "client/keys.hpp"
 #include "core/channel/atomic_channel.hpp"
+#include "core/channel/optimistic_channel.hpp"
 #include "core/channel/secure_atomic_channel.hpp"
 
 namespace sintra::replica {
@@ -20,7 +21,6 @@ constexpr std::size_t kDeliveryLogCap = 4096;
 core::AtomicChannel::Config channel_config(const Replica::Options& o) {
   core::AtomicChannel::Config cfg;
   if (o.batch_count > 0) cfg.max_batch_count = o.batch_count;
-  if (o.batch_bytes > 0) cfg.max_batch_bytes = o.batch_bytes;
   if (o.pipeline_depth > 0) cfg.pipeline_depth = o.pipeline_depth;
   return cfg;
 }
@@ -28,14 +28,16 @@ core::AtomicChannel::Config channel_config(const Replica::Options& o) {
 std::unique_ptr<core::ChannelBase> make_ordering_channel(
     core::Environment& env, core::Dispatcher& disp, const std::string& pid,
     const Replica::Options& o) {
+  std::unique_ptr<core::ChannelBase> ch;
   if (o.channel == "atomic") {
-    auto ch = std::make_unique<core::AtomicChannel>(env, disp, pid,
-                                                    channel_config(o));
-    ch->set_delivery_log_limit(kDeliveryLogCap);
-    return ch;
+    ch = std::make_unique<core::AtomicChannel>(env, disp, pid,
+                                               channel_config(o));
+  } else if (o.channel == "secure-atomic") {
+    ch = std::make_unique<core::SecureAtomicChannel>(env, disp, pid,
+                                                     channel_config(o));
+  } else {
+    ch = std::make_unique<core::OptimisticChannel>(env, disp, pid);
   }
-  auto ch = std::make_unique<core::SecureAtomicChannel>(env, disp, pid,
-                                                        channel_config(o));
   ch->set_delivery_log_limit(kDeliveryLogCap);
   return ch;
 }
@@ -73,26 +75,6 @@ Replica::Replica(core::Environment& env, core::Dispatcher& dispatcher,
     rec_->set_caught_up_callback([this] { finish(); });
   }
 
-  if (optimistic) {
-    if (recovering_) {
-      // The optimistic stream holds raw payloads: replay them as they
-      // were executed.
-      rec_->set_apply_callback(
-          [this](const recovery::RecoveryManager::Record& r) {
-            execute(r.payload);
-          });
-    } else {
-      optimistic_ =
-          std::make_unique<core::OptimisticChannel>(env_, dispatcher, pid_);
-      optimistic_->set_deliver_callback(
-          [this](const Bytes& payload, core::PartyId origin) {
-            if (rec_) rec_->on_delivered(payload, origin);
-            execute(payload);
-          });
-    }
-    return;
-  }
-
   if (recovering_) {
     // Replayed records are gateway envelopes: their unwrap/dedup
     // decisions must match what this replica executed before it crashed.
@@ -111,9 +93,9 @@ Replica::Replica(core::Environment& env, core::Dispatcher& dispatcher,
     channel_->set_closed_callback([this] { on_closed(); });
   }
 
-  // The gateway exists for every gateway-backed channel, with or without
-  // a client lane: local payloads route through the same submit_local /
-  // wrap / delivery-time dedup machinery as client requests, so there is
+  // The gateway exists for every channel, with or without a client lane:
+  // local payloads route through the same submit_local / wrap /
+  // delivery-time dedup machinery as client requests, so there is
   // exactly one at-most-once policy.
   client::ClientGateway::Options gopts;
   gopts.replica = static_cast<std::uint32_t>(env_.self());
@@ -131,8 +113,8 @@ Replica::Replica(core::Environment& env, core::Dispatcher& dispatcher,
     gateway_->set_key_table(client::read_key_file(opts_.client_keys));
   }
   gateway_->set_submit([this](Bytes wrapped) {
-    if (channel_ == nullptr || !channel_->can_send_payload()) return false;
-    channel_->send_payload(wrapped);
+    if (channel_ == nullptr || !channel_->can_send()) return false;
+    channel_->send(wrapped);
     return true;
   });
 }
@@ -146,11 +128,7 @@ void Replica::start() {
     return;
   }
   for (int k = 0; k < opts_.send_count; ++k) {
-    if (optimistic_) {
-      optimistic_->send(payload_of(k));
-    } else {
-      gateway_->submit_local(payload_of(k));
-    }
+    gateway_->submit_local(payload_of(k));
   }
   if (opts_.close_after_send) close();
 }
@@ -188,7 +166,7 @@ void Replica::maybe_close() {
     return;
   }
   close_issued_ = true;
-  channel_->close_channel();
+  channel_->close();
 }
 
 void Replica::execute(const Bytes& payload) {

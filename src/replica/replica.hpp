@@ -10,10 +10,10 @@
 // the same class on sim::Simulator.
 //
 // What it composes:
-//   - the ordering channel: atomic or secure-atomic behind one
-//     core::ChannelBase, or the optimistic channel (no close protocol,
-//     no gateway);
-//   - the client gateway (atomic / secure-atomic): local submissions
+//   - the ordering channel: atomic, secure-atomic or optimistic, behind
+//     one core::ChannelBase (the optimistic channel has no close
+//     protocol, so it completes on `expect`);
+//   - the client gateway, in front of every channel: local submissions
 //     (Options::send_count) and client requests share one
 //     wrap/propose/dedup path;
 //   - the recovery manager (with Options::state_dir): every live
@@ -34,7 +34,6 @@
 
 #include "client/gateway.hpp"
 #include "core/channel/channel_base.hpp"
-#include "core/channel/optimistic_channel.hpp"
 #include "core/dispatcher.hpp"
 #include "recovery/recovery_manager.hpp"
 #include "recovery/state_store.hpp"
@@ -55,7 +54,6 @@ class Replica {
     std::uint64_t checkpoint_interval = 8;
     // Throughput mode (DESIGN.md §11): 0 = keep the channel defaults.
     int batch_count = 0;
-    std::size_t batch_bytes = 0;
     int pipeline_depth = 0;
     // Client service layer (DESIGN.md §12).
     std::string client_keys;          // key-table file; "" = no clients
@@ -96,8 +94,8 @@ class Replica {
   /// optimistic channel has no close protocol: a no-op there.
   void close();
 
-  /// The client gateway (null for the optimistic channel).  Transports
-  /// attach their client lane here.
+  /// The client gateway (never null).  Transports attach their client
+  /// lane here.
   [[nodiscard]] client::ClientGateway* gateway() { return gateway_.get(); }
   /// The recovery manager (null without a state_dir).
   [[nodiscard]] const recovery::RecoveryManager* recovery() const {
@@ -127,8 +125,7 @@ class Replica {
   std::unique_ptr<recovery::StateStore> store_;
   std::unique_ptr<recovery::RecoveryManager> rec_;
   bool recovering_ = false;
-  std::unique_ptr<core::ChannelBase> channel_;  // atomic or secure-atomic
-  std::unique_ptr<core::OptimisticChannel> optimistic_;
+  std::unique_ptr<core::ChannelBase> channel_;  // null on the restart path
   std::unique_ptr<client::ClientGateway> gateway_;
   std::function<void(const Bytes&)> execute_cb_;
   std::function<void()> complete_cb_;

@@ -600,6 +600,36 @@ TEST(ClientGateway, AdmissionRunsBeforeDesignation) {
   }
 }
 
+TEST(ClientGateway, ClientTableCapShedsOnlyNewClients) {
+  ClientGateway::Options opts;
+  opts.max_clients = 2;
+  // Clients 1, 5 and 9 share the designated replica of their seq 1, and
+  // client 1's seq 5 is designated here too.
+  opts.replica = designated_replica(1, 1, opts.n);
+  ASSERT_EQ(designated_replica(1, 5, opts.n), opts.replica);
+  GatewayHarness h(opts);
+  const int party = static_cast<int>(opts.replica);
+  h.gw->on_request_datagram(h.request(1, 1, "a"), "a1");
+  h.gw->on_request_datagram(h.request(5, 1, "b"), "a5");
+  ASSERT_EQ(h.submitted.size(), 2u);
+  h.deliver_submitted();
+  const std::size_t replies = h.replies.size();
+
+  // The table is full: a new authenticated client is shed, silently
+  // (it has no table entry to hold its address or dedup state).
+  const std::uint64_t shed_before = party_counter("client.shed", party);
+  h.gw->on_request_datagram(h.request(9, 1, "c"), "a9");
+  EXPECT_EQ(party_counter("client.shed", party), shed_before + 1);
+  EXPECT_TRUE(h.submitted.empty());
+  EXPECT_EQ(h.replies.count("a9"), 0u);
+  EXPECT_EQ(h.replies.size(), replies);
+
+  // A client already in the table is still admitted.
+  h.gw->on_request_datagram(h.request(1, 5, "d"), "a1");
+  EXPECT_EQ(h.submitted.size(), 1u);
+  EXPECT_EQ(party_counter("client.shed", party), shed_before + 1);
+}
+
 TEST(ServiceClient, TimerOfAnsweredRequestDoesNotResendTheNext) {
   // Hook-driven timers: nothing fires until the test says so.
   std::vector<std::function<void()>> timers;
@@ -647,9 +677,9 @@ TEST(ServiceClient, TimerOfAnsweredRequestDoesNotResendTheNext) {
 
 // ---------------------------------------------------------------------------
 // End-to-end in the simulator: four replica::Replica objects (the class
-// sintra_node runs) on an atomic channel, real quorum-collecting clients,
-// optionally one Byzantine replica that mangles its replies or whose
-// gateway never proposes.
+// sintra_node runs) on an atomic channel (or another ordering channel),
+// real quorum-collecting clients, optionally one Byzantine replica that
+// mangles its replies or whose gateway never proposes.
 
 struct SimScenario {
   static constexpr int kClients = 6;
@@ -671,7 +701,8 @@ struct SimScenario {
   /// gateway never proposes one.  -1 = none.
   explicit SimScenario(std::uint64_t seed, std::uint64_t client_seed,
                        int byzantine = -1, int silent = -1,
-                       double client_loss = 0.05)
+                       double client_loss = 0.05,
+                       const std::string& channel = "atomic")
       : cluster(4, 1, seed),
         net(cluster.sim, [client_seed, client_loss] {
           SimClientNet::Options o;
@@ -683,6 +714,9 @@ struct SimScenario {
         }()) {
     executed.resize(4);
     replica::Replica::Options ropts;
+    ropts.channel = channel;
+    // The optimistic channel has no close protocol: it completes by count.
+    if (channel == "optimistic") ropts.expect = kClients * kRequests;
     ropts.send_count = 0;
     ropts.batch_count = 4;
     ropts.pipeline_depth = 2;
@@ -896,6 +930,16 @@ TEST(ClientServiceE2E, SilentDesignatedReplicaCostsOneClientRto) {
   }
   EXPECT_GT(delayed, 0u);
   EXPECT_EQ(total_retransmits(s), delayed);
+}
+
+TEST(ClientServiceE2E, OptimisticChannelServesQuorums) {
+  // The optimistic channel sits behind the same gateway: each request it
+  // orders executes once, identically everywhere, and the client gets a
+  // t+1 matching-reply quorum despite a replica mangling its replies.
+  SimScenario s(/*seed=*/1, /*client_seed=*/51, /*byzantine=*/3,
+                /*silent=*/-1, /*client_loss=*/0.05, "optimistic");
+  ASSERT_TRUE(s.run());
+  expect_all_ok_and_identical(s);
 }
 
 }  // namespace

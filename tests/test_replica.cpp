@@ -134,15 +134,20 @@ INSTANTIATE_TEST_SUITE_P(AtomicAndSecure, ReplicaChannels,
                          });
 
 TEST(Replica, OptimisticChannelCompletesOnExpect) {
+  // No close protocol, but the same gateway, dedup and execute funnel
+  // as the other channels.
   Replica::Options opts;
   opts.channel = "optimistic";
   opts.send_count = 2;
   opts.expect = 8;
   Group g(9, opts);
-  EXPECT_EQ(g.replicas[0]->gateway(), nullptr);  // no close, no gateway
+  for (const auto& r : g.replicas) EXPECT_NE(r->gateway(), nullptr);
   for (int i = 0; i < 4; ++i) g.start(i, 1.0);
   ASSERT_TRUE(g.run_until_completed({0, 1, 2, 3}));
   for (int i = 1; i < 4; ++i) EXPECT_EQ(g.executed[i], g.executed[0]);
+  std::vector<std::string> sorted = g.executed[0];
+  std::sort(sorted.begin(), sorted.end());
+  EXPECT_EQ(sorted, expected_payloads(2));
 }
 
 TEST(Replica, RejectsUnusableConfigurations) {
